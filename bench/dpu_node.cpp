@@ -1,7 +1,7 @@
 // dpu_node — one protocol stack as one OS process (the cluster agent).
 //
-// Spawned by the campaign supervisor (cluster_campaign / ClusterSupervisor),
-// one per node of a proc-engine scenario:
+// Spawned by the campaign supervisor (ClusterSupervisor, which
+// scenario_campaign drives), one per node of a proc-engine scenario:
 //
 //   dpu_node --spec spec.json --hosts hosts.txt --node 3 \
 //            --incarnation 0 --epoch-ns 123456789 --seed 1 \

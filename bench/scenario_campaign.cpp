@@ -1,28 +1,38 @@
-// scenario_campaign — runs fault/upgrade scenario campaigns and emits the
-// machine-readable JSON artifact CI gates on.
+// scenario_campaign — runs fault/upgrade scenario campaigns on any engine
+// and emits the machine-readable JSON artifact CI gates on.
 //
 //   scenario_campaign                        # curated library, seeds 1..3
-//   scenario_campaign --list                 # print the curated names
+//   scenario_campaign --list                 # print both curated libraries
 //   scenario_campaign --scenario large-n-churn --seeds 5
 //   scenario_campaign --spec my_scenario.json --out results.json
 //   scenario_campaign --engine rt --scenario clean-switch
 //                                            # same spec, real-thread engine
+//   scenario_campaign --seeds 1 --scenario proc-churn-50
+//                                            # 50 real OS processes
+//
+// Engine-proc specs run through the ClusterSupervisor: one dpu_node process
+// per node over UDP sockets, crashes by SIGKILL, recoveries by respawn,
+// partitions installed in each agent's socket receive path.  The output
+// document format is the same on every engine.
 //
 // Exit status: 0 when every run passes the property audits, 1 otherwise,
 // 2 on usage/IO errors, 3 when interrupted (SIGINT/SIGTERM: workers stop
-// claiming runs and the partial document is still flushed, marked
-// "interrupted").
+// claiming runs, proc children are killed, and the partial document is
+// still flushed, marked "interrupted").
 #include <signal.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <optional>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cluster/supervisor.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/library.hpp"
 
@@ -39,10 +49,12 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [options]\n"
-      "  --list               print curated scenario names and exit\n"
-      "  --scenario NAME      run one curated scenario (repeatable)\n"
+      "  --list               print curated scenario names (sim/rt, then\n"
+      "                       proc) and exit\n"
+      "  --scenario NAME      run one curated scenario (repeatable; both\n"
+      "                       libraries are searched)\n"
       "  --spec FILE.json     run a spec loaded from JSON (repeatable)\n"
-      "  --engine sim|rt      override the execution engine of every\n"
+      "  --engine sim|rt|proc override the execution engine of every\n"
       "                       selected spec (default: each spec's own)\n"
       "  --seeds K            sweep seeds base..base+K-1 (default 3)\n"
       "  --seed-base B        first seed of the sweep (default 1)\n"
@@ -52,11 +64,27 @@ int usage(const char* argv0) {
       "  --sim-shards S       override simulator event-engine shards for\n"
       "                       every sim run (results are byte-identical at\n"
       "                       every value; default: each spec's own)\n"
-      "  --threads T          worker threads (default: hardware)\n"
+      "  --threads T          worker threads (default: hardware; 1 when\n"
+      "                       any proc spec is selected)\n"
+      "  --node-binary PATH   dpu_node binary for proc runs (default: next\n"
+      "                       to this one)\n"
+      "  --results-dir DIR    proc per-run scratch root (default:\n"
+      "                       cluster-results)\n"
+      "  --base-port P        proc first data-plane UDP port (default 21000)\n"
+      "  --keep               keep proc per-node scratch files after a run\n"
       "  --out FILE           write the results JSON there (default stdout)\n"
       "  --compact            compact JSON instead of pretty-printed\n",
       argv0);
   return 2;
+}
+
+/// dpu_node lives next to this binary unless overridden.
+std::string default_node_binary() {
+  char buf[4096];
+  const ssize_t len = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
+  if (len <= 0) return "dpu_node";
+  buf[len] = '\0';
+  return (std::filesystem::path(buf).parent_path() / "dpu_node").string();
 }
 
 }  // namespace
@@ -73,6 +101,8 @@ int main(int argc, char** argv) {
   std::size_t sim_shards = 0;  // 0: each spec's own
   int indent = 2;
   std::optional<Engine> engine_override;
+  cluster::SupervisorOptions sup;
+  sup.node_binary = default_node_binary();
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -81,9 +111,12 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--list") {
-      for (const ScenarioSpec& spec : curated_scenarios()) {
-        std::printf("%-28s %s\n", spec.name.c_str(),
-                    spec.description.c_str());
+      for (const auto& library :
+           {curated_scenarios(), curated_proc_scenarios()}) {
+        for (const ScenarioSpec& spec : library) {
+          std::printf("%-28s %s\n", spec.name.c_str(),
+                      spec.description.c_str());
+        }
       }
       return 0;
     } else if (arg == "--scenario") {
@@ -126,6 +159,20 @@ int main(int argc, char** argv) {
       const char* v = next_value();
       if (v == nullptr) return usage(argv[0]);
       threads = std::strtoull(v, nullptr, 10);
+    } else if (arg == "--node-binary") {
+      const char* v = next_value();
+      if (v == nullptr) return usage(argv[0]);
+      sup.node_binary = v;
+    } else if (arg == "--results-dir") {
+      const char* v = next_value();
+      if (v == nullptr) return usage(argv[0]);
+      sup.results_dir = v;
+    } else if (arg == "--base-port") {
+      const char* v = next_value();
+      if (v == nullptr) return usage(argv[0]);
+      sup.base_port = static_cast<std::uint16_t>(std::strtoul(v, nullptr, 10));
+    } else if (arg == "--keep") {
+      sup.keep_artifacts = true;
     } else if (arg == "--out") {
       const char* v = next_value();
       if (v == nullptr) return usage(argv[0]);
@@ -174,19 +221,10 @@ int main(int argc, char** argv) {
     }
   }
   if (specs.empty()) specs = curated_scenarios();
-  if (engine_override.has_value()) {
-    for (ScenarioSpec& spec : specs) spec.engine = *engine_override;
-  }
-  // Checked after the override so `--engine sim` reruns a proc spec here.
-  for (const ScenarioSpec& spec : specs) {
-    if (spec.engine == Engine::kProc) {
-      std::fprintf(stderr,
-                   "'%s' uses engine \"proc\" (real OS processes): run it "
-                   "with cluster_campaign, or override with --engine "
-                   "sim|rt\n",
-                   spec.name.c_str());
-      return 2;
-    }
+  bool any_proc = false;
+  for (ScenarioSpec& spec : specs) {
+    if (engine_override.has_value()) spec.engine = *engine_override;
+    if (spec.engine == Engine::kProc) any_proc = true;
   }
 
   if (repeat > 1) {
@@ -202,19 +240,32 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Clean interrupt: workers stop claiming runs, proc children are killed
+  // (the supervisor polls the flag and its teardown reaps them;
+  // PR_SET_PDEATHSIG backstops even a hard death) and the partial document
+  // still reaches --out.
   struct sigaction sa{};
   sa.sa_handler = on_signal;
   ::sigaction(SIGINT, &sa, nullptr);
   ::sigaction(SIGTERM, &sa, nullptr);
+
+  sup.cancel = &g_cancel;
+  cluster::ClusterSupervisor supervisor(sup);
 
   CampaignOptions options;
   options.seeds.clear();
   for (std::uint64_t k = 0; k < seed_count; ++k) {
     options.seeds.push_back(seed_base + k);
   }
-  options.threads = threads;
+  // Proc runs share the data-plane port range and load the machine with n
+  // processes each, so they must not overlap.
+  options.threads = any_proc ? 1 : threads;
   options.run.sim_shards = sim_shards;
   options.cancel = &g_cancel;
+  options.run_fn = [&](const ScenarioSpec& spec, std::uint64_t seed) {
+    if (spec.engine == Engine::kProc) return supervisor.run(spec, seed);
+    return run_scenario(spec, seed, options.run);
+  };
 
   const CampaignOutcome outcome = run_campaign(specs, options);
   const std::string text = outcome.document.dump(indent) + "\n";

@@ -48,11 +48,11 @@ int main() {
   // Two live upgrades while writes are flowing.
   world.at_node(1500 * kMillisecond, 1, [&]() {
     std::printf("t=1.5s  upgrade #1: abcast.ct -> abcast.seq\n");
-    stacks[1].repl->change_abcast("abcast.seq");
+    stacks[1].update->request_update(kAbcastService, "abcast.seq");
   });
   world.at_node(3000 * kMillisecond, 3, [&]() {
     std::printf("t=3.0s  upgrade #2: abcast.seq -> abcast.token\n");
-    stacks[3].repl->change_abcast("abcast.token");
+    stacks[3].update->request_update(kAbcastService, "abcast.token");
   });
 
   world.run_for(30 * kSecond);

@@ -66,7 +66,9 @@ int main() {
   say(2, "me too, do not lose them");
 
   std::printf("--> stack 3 requests the upgrade to abcast.ct, then crashes\n");
-  world.call_on(3, [&]() { stacks[3].repl->change_abcast("abcast.ct"); });
+  world.call_on(3, [&]() {
+    stacks[3].update->request_update(kAbcastService, "abcast.ct");
+  });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   world.crash(3);
 

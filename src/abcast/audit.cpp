@@ -4,6 +4,17 @@
 
 namespace dpu {
 
+namespace {
+
+/// A message as violations name it: its payload in lowercase hex.  Raw
+/// payload bytes would make the JSON result document invalid UTF-8.
+std::string hex(const std::string& m) {
+  return encode_hex(
+      {reinterpret_cast<const std::uint8_t*>(m.data()), m.size()});
+}
+
+}  // namespace
+
 void AbcastAudit::record_sent(NodeId sender, const Bytes& payload) {
   const std::lock_guard<std::mutex> lock(mutex_);
   sent_[sender].insert(to_string(payload));
@@ -71,7 +82,7 @@ PropertyReport AbcastAudit::check(std::size_t world_size,
       for (const auto& [m, c] : counts) {
         if (c > 1) {
           report.fail("integrity: stack " + std::to_string(i) + " delivered '" +
-                      m + "' " + std::to_string(c) + " times");
+                      hex(m) + "' " + std::to_string(c) + " times");
         }
       }
     }
@@ -79,7 +90,7 @@ PropertyReport AbcastAudit::check(std::size_t world_size,
     for (const auto& m : delivered_set[i]) {
       if (all_sent.count(m) == 0) {
         report.fail("integrity: stack " + std::to_string(i) + " delivered '" +
-                    m + "' which was never abcast");
+                    hex(m) + "' which was never abcast");
       }
     }
   }
@@ -90,7 +101,7 @@ PropertyReport AbcastAudit::check(std::size_t world_size,
     for (const auto& m : msgs) {
       if (delivered_set[sender].count(m) == 0) {
         report.fail("validity: correct stack " + std::to_string(sender) +
-                    " abcast '" + m + "' but never adelivered it");
+                    " abcast '" + hex(m) + "' but never adelivered it");
       }
     }
   }
@@ -104,12 +115,12 @@ PropertyReport AbcastAudit::check(std::size_t world_size,
         if (!seen.insert(m).second) {
           report.fail("integrity: stack " + std::to_string(node) +
                       " (incarnation " + std::to_string(life) +
-                      ") delivered '" + m + "' more than once");
+                      ") delivered '" + hex(m) + "' more than once");
         }
         if (all_sent.count(m) == 0) {
           report.fail("integrity: stack " + std::to_string(node) +
                       " (incarnation " + std::to_string(life) +
-                      ") delivered '" + m + "' which was never abcast");
+                      ") delivered '" + hex(m) + "' which was never abcast");
         }
       }
     }
@@ -129,7 +140,7 @@ PropertyReport AbcastAudit::check(std::size_t world_size,
     for (NodeId i = 0; i < world_size; ++i) {
       if (!is_correct(i)) continue;
       if (delivered_set[i].count(m) == 0) {
-        report.fail("agreement: '" + m +
+        report.fail("agreement: '" + hex(m) +
                     "' was delivered somewhere but not on correct stack " +
                     std::to_string(i));
       }
@@ -172,7 +183,7 @@ PropertyReport AbcastAudit::check(std::size_t world_size,
       if (it == ref_index.end()) continue;  // already flagged by agreement
       if (!first && it->second <= last) {
         report.fail("total order: crashed stack " + std::to_string(i) +
-                    " delivered '" + m + "' out of order w.r.t. stack " +
+                    " delivered '" + hex(m) + "' out of order w.r.t. stack " +
                     std::to_string(ref));
       }
       last = it->second;
@@ -191,8 +202,8 @@ PropertyReport AbcastAudit::check(std::size_t world_size,
         if (!first && it->second <= last) {
           report.fail("total order: stack " + std::to_string(node) +
                       " (incarnation " + std::to_string(life) +
-                      ") delivered '" + m + "' out of order w.r.t. stack " +
-                      std::to_string(ref));
+                      ") delivered '" + hex(m) +
+                      "' out of order w.r.t. stack " + std::to_string(ref));
         }
         last = it->second;
         first = false;

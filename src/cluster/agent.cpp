@@ -275,22 +275,7 @@ int run_agent(const AgentConfig& config) {
   Json report = Json::object();
   report.set("node", config.node);
   report.set("incarnation", config.incarnation);
-  Json counts = Json::object();
-  counts.set("sent", acc.sent);
-  counts.set("delivered", acc.deliveries);
-  counts.set("reissued", acc.reissued);
-  counts.set("stale_discarded", acc.stale_discarded);
-  counts.set("decisions_delivered", acc.decisions_delivered);
-  counts.set("snapshots_served", acc.snapshots_served);
-  counts.set("state_replayed", acc.state_replayed);
-  counts.set("app_blocked_ns", acc.app_blocked);
-  counts.set("calls_queued", acc.calls_queued);
-  counts.set("retransmissions", acc.retransmissions);
-  counts.set("acks_sent", acc.acks_sent);
-  if (composed.modules.repl_rbcast != nullptr) {
-    counts.set("dedup_entries", composed.modules.repl_rbcast->dedup_entries());
-  }
-  report.set("counts", std::move(counts));
+  report.set("counts", acc.to_json());
   report.set("packets_sent", world.packets_sent());
   report.set("packets_dropped", world.packets_dropped());
   report.set("socket_tx_syscalls", world.socket_tx_syscalls());
@@ -298,27 +283,8 @@ int run_agent(const AgentConfig& config) {
   report.set("socket_rx_syscalls", world.socket_rx_syscalls());
   report.set("socket_rx_datagrams", world.socket_rx_datagrams());
   report.set("pending_calls", stack.pending_call_count());
-
-  // Convergence witness, like the in-process harvest: the last update's
-  // target service (or the first managed one) as this stack reports it.
-  std::string report_service =
-      spec.updates.empty()
-          ? (plan.managed.empty() ? std::string()
-                                  : plan.managed.begin()->first)
-          : spec.updates.back().target_service();
-  std::string final_protocol;
-  if (!report_service.empty() && composed.modules.update != nullptr) {
-    try {
-      final_protocol =
-          composed.modules.update->current_version(report_service).protocol;
-    } catch (const std::invalid_argument&) {
-      // Service not managed on this composition: leave empty.
-    }
-  } else {
-    final_protocol = spec.updates.empty() ? spec.initial_protocol
-                                          : spec.updates.back().protocol;
-  }
-  report.set("final_protocol", final_protocol);
+  report.set("final_protocol",
+             scenario::final_protocol_of(spec, plan, composed.modules));
 
   Json pairs = Json::array();
   for (const auto& [send_time, latency] : delivery_journal.pairs()) {

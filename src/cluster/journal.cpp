@@ -9,8 +9,6 @@
 namespace dpu::cluster {
 
 namespace {
-constexpr char kHexDigits[] = "0123456789abcdef";
-
 int hex_value(char c) {
   if (c >= '0' && c <= '9') return c - '0';
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
@@ -18,16 +16,6 @@ int hex_value(char c) {
   return -1;
 }
 }  // namespace
-
-std::string encode_hex(const Bytes& data) {
-  std::string out;
-  out.reserve(data.size() * 2);
-  for (const std::uint8_t b : data) {
-    out.push_back(kHexDigits[b >> 4]);
-    out.push_back(kHexDigits[b & 0x0F]);
-  }
-  return out;
-}
 
 Bytes decode_hex(const std::string& hex) {
   if (hex.size() % 2 != 0) {

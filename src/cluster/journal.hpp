@@ -23,9 +23,9 @@
 
 namespace dpu::cluster {
 
-/// Plain lowercase hex (no separators), round-tripping payload bytes.
-[[nodiscard]] std::string encode_hex(const Bytes& data);
-/// Throws std::invalid_argument on odd length or non-hex characters.
+/// Inverse of encode_hex (util/bytes.hpp), which writes the journal's
+/// payloads.  Throws std::invalid_argument on odd length or non-hex
+/// characters.
 [[nodiscard]] Bytes decode_hex(const std::string& hex);
 
 /// One replayed journal record.

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "abcast/audit.hpp"
-#include "app/stack_builder.hpp"
 #include "cluster/control.hpp"
 #include "cluster/hosts.hpp"
 #include "cluster/journal.hpp"
@@ -34,7 +33,6 @@ namespace {
 using scenario::Json;
 using scenario::ScenarioResult;
 using scenario::ScenarioSpec;
-using scenario::UpdateOutcome;
 
 namespace fs = std::filesystem;
 
@@ -42,10 +40,6 @@ namespace fs = std::filesystem;
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-void append(PropertyReport& into, PropertyReport from) {
-  for (std::string& v : from.violations) into.fail(std::move(v));
 }
 
 /// What the campaign timeline does at one instant.
@@ -581,17 +575,17 @@ ScenarioResult ClusterSupervisor::Run::merge() {
   result.scenario = spec_.name;
   result.seed = seed_;
   result.collector = std::make_unique<LatencyCollector>(options_.bucket_width);
-  result.crashed = crashed_now_;
-  for (NodeId i = 0; i < spec_.n; ++i) {
-    if (recovery_time_[i] >= 0 && result.crashed.count(i) == 0) {
-      result.recovered.insert(i);
-    }
-  }
   result.total_virtual_time = world_now();
 
-  std::vector<Json> reports(spec_.n);
+  // A SIGKILLed process never reports: crashed nodes keep zero counters,
+  // and a recovered node's counters are its live incarnation's only.
+  scenario::RunFacts facts;
+  facts.crashed = crashed_now_;
+  facts.recovery_time = recovery_time_;
+  facts.counts.resize(spec_.n);
+  facts.pending_calls.assign(spec_.n, 0);
   for (NodeId i = 0; i < spec_.n; ++i) {
-    if (result.crashed.count(i) != 0) {
+    if (facts.crashed.count(i) != 0) {
       result.final_protocol.emplace_back();
       continue;
     }
@@ -603,30 +597,13 @@ ScenarioResult ClusterSupervisor::Run::merge() {
       result.final_protocol.emplace_back();
       continue;
     }
-    reports[i] = Json::parse(read_file(path));
-    const Json& r = reports[i];
-
-    const Json& counts = r.at("counts");
-    auto count = [&counts](const char* key) -> std::uint64_t {
-      const Json* v = counts.find(key);
-      return v != nullptr ? static_cast<std::uint64_t>(v->as_int()) : 0;
-    };
-    result.messages_sent += count("sent");
-    result.deliveries += count("delivered");
-    result.reissued += count("reissued");
-    result.stale_discarded += count("stale_discarded");
-    result.decisions_delivered += count("decisions_delivered");
-    result.snapshots_served += count("snapshots_served");
-    result.state_replayed += count("state_replayed");
-    result.app_blocked_total += static_cast<Duration>(count("app_blocked_ns"));
-    result.calls_queued += count("calls_queued");
-    result.retransmissions += count("retransmissions");
-    result.acks_sent += count("acks_sent");
-    result.dedup_entries += count("dedup_entries");
+    const Json r = Json::parse(read_file(path));
     auto top = [&r](const char* key) -> std::uint64_t {
       const Json* v = r.find(key);
       return v != nullptr ? static_cast<std::uint64_t>(v->as_int()) : 0;
     };
+    facts.counts[i] = scenario::NodeAccum::from_json(r.at("counts"));
+    facts.pending_calls[i] = top("pending_calls");
     result.packets_sent += top("packets_sent");
     result.packets_dropped += top("packets_dropped");
     result.socket_tx_syscalls += top("socket_tx_syscalls");
@@ -640,15 +617,8 @@ ScenarioResult ClusterSupervisor::Run::merge() {
       result.collector->add(pairs[p].as_int(), pairs[p + 1].as_int());
     }
 
-    const std::size_t pending = top("pending_calls");
-    if (pending != 0) {
-      result.generic_report.fail(
-          "stack " + std::to_string(i) + ": " + std::to_string(pending) +
-          " service call(s) still pending at end of run");
-    }
-
     for (const Json& ev : r.at("trace").items()) {
-      result.trace.push_back(
+      facts.trace.push_back(
           {ev.at("t").as_int(), static_cast<NodeId>(ev.at("node").as_int()),
            static_cast<TraceKind>(ev.at("kind").as_int()),
            ev.at("service").as_string(), ev.at("module").as_string(),
@@ -660,7 +630,7 @@ ScenarioResult ClusterSupervisor::Run::merge() {
     Json slim = Json::object();
     slim.set("node", i);
     slim.set("incarnation", r.at("incarnation").as_int());
-    slim.set("counts", counts);
+    slim.set("counts", r.at("counts"));
     slim.set("packets_sent", top("packets_sent"));
     slim.set("packets_dropped", top("packets_dropped"));
     slim.set("socket_tx_syscalls", top("socket_tx_syscalls"));
@@ -673,53 +643,17 @@ ScenarioResult ClusterSupervisor::Run::merge() {
 
   // The supervisor is the only witness of crash/recovery times: agents die
   // by SIGKILL and are born ignorant, so their traces carry no markers.
-  result.trace.insert(result.trace.end(), fault_markers_.begin(),
-                      fault_markers_.end());
-  std::stable_sort(result.trace.begin(), result.trace.end(),
+  facts.trace.insert(facts.trace.end(), fault_markers_.begin(),
+                     fault_markers_.end());
+  std::stable_sort(facts.trace.begin(), facts.trace.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.time < b.time;
                    });
 
-  result.updates = scenario::extract_update_outcomes(result.trace);
-  if (!result.updates.empty()) {
-    result.switch_windows.reserve(result.updates.size());
-    for (const UpdateOutcome& o : result.updates) {
-      result.switch_windows.emplace_back(o.requested, o.converged);
-    }
-  } else {
-    result.switch_windows =
-        scenario::extract_switch_windows(result.trace, spec_.n);
-  }
-
-  if (spec_.max_retransmissions > 0 &&
-      result.retransmissions > spec_.max_retransmissions) {
-    result.generic_report.fail(
-        "retransmissions " + std::to_string(result.retransmissions) +
-        " exceed the spec bound " + std::to_string(spec_.max_retransmissions));
-  }
-
-  // ---- Verdicts (mirrors run_on_world) ------------------------------------
   AbcastAudit audit;
   replay_audit(audit);
-  result.abcast_report = audit.check(spec_.n, result.crashed);
-
-  std::vector<TraceEvent> correct_events;
-  correct_events.reserve(result.trace.size());
-  for (const TraceEvent& e : result.trace) {
-    if (result.crashed.count(e.node) != 0) continue;
-    if (e.node < spec_.n && recovery_time_[e.node] >= 0 &&
-        e.time < recovery_time_[e.node]) {
-      continue;
-    }
-    correct_events.push_back(e);
-  }
-  append(result.generic_report,
-         check_weak_stack_well_formedness(correct_events));
-  if (spec_.mechanism != scenario::Mechanism::kNone) {
-    append(result.generic_report,
-           check_protocol_operationability(result.trace, spec_.n,
-                                           result.crashed, recovery_time_));
-  }
+  facts.audit = &audit;
+  scenario::distill_result(spec_, std::move(facts), result);
   return result;
 }
 
@@ -771,28 +705,7 @@ ClusterSupervisor::~ClusterSupervisor() = default;
 
 ScenarioResult ClusterSupervisor::run(const ScenarioSpec& spec,
                                       std::uint64_t seed) {
-  const std::vector<std::string> problems = spec.validate();
-  if (!problems.empty()) {
-    std::string what = "scenario '" + spec.name + "' is invalid:";
-    for (const std::string& p : problems) what += "\n  - " + p;
-    throw std::invalid_argument(what);
-  }
-  // Same composition-level gate as run_scenario: recovery and late join
-  // need every managed layer to answer state requests.
-  if (!spec.recoveries.empty() || !spec.late_joins.empty()) {
-    const StandardStackOptions stack_options =
-        scenario::stack_options_for_spec(spec);
-    ProtocolRegistry library = make_standard_library(stack_options);
-    for (const auto& [svc, m] : spec.managed_services()) {
-      (void)m;
-      if (!library.state_transfer(svc)) {
-        throw std::invalid_argument(
-            "scenario '" + spec.name + "': recoveries/late joins require "
-            "the state_transfer capability on replaceable service '" + svc +
-            "'");
-      }
-    }
-  }
+  scenario::admit_scenario(spec);
   Run run(options_, spec, seed);
   return run.execute();
 }

@@ -9,9 +9,10 @@
 // installs in its socket receive path.  After the activity window it polls
 // the agents for quiescence (deliveries stable, no unacked rp2p traffic),
 // harvests their result JSON, replays their crash-durable audit journals
-// into the §5.1 AbcastAudit, and merges everything into the same
-// ScenarioResult the in-process engines produce — so campaign tooling,
-// perf_gate and the property audits run unchanged.
+// into the §5.1 AbcastAudit, and hands the gathered facts to the distill
+// step the in-process engines use (scenario::distill_result) — so every
+// verdict follows one rule on all engines, and campaign tooling, perf_gate
+// and the property audits run unchanged.
 //
 // Orphan safety is layered: every agent sets PR_SET_PDEATHSIG(SIGKILL)
 // before exec (dies with the supervisor, even on SIGKILL), the supervisor
@@ -63,8 +64,9 @@ class ClusterSupervisor {
   ClusterSupervisor& operator=(const ClusterSupervisor&) = delete;
 
   /// Runs `spec` (engine proc) under `seed` to a merged ScenarioResult.
-  /// Throws std::invalid_argument on an invalid spec and
-  /// std::runtime_error on cancellation or unrecoverable setup failure.
+  /// Throws std::invalid_argument on a spec scenario::admit_scenario
+  /// rejects and std::runtime_error on cancellation or unrecoverable setup
+  /// failure.
   [[nodiscard]] scenario::ScenarioResult run(
       const scenario::ScenarioSpec& spec, std::uint64_t seed);
 

@@ -124,8 +124,8 @@ void GracefulSwitchModule::adeliver(NodeId /*sender*/,
 // Coordinated adaptation
 // ---------------------------------------------------------------------------
 
-void GracefulSwitchModule::change_adaptation(const std::string& protocol,
-                                             const ModuleParams& params) {
+void GracefulSwitchModule::request_update(const std::string& protocol,
+                                          const ModuleParams& params) {
   // `is_ca_` covers the window between issuing PREPARE and our own PREPARE
   // arriving back (control messages are asynchronous, even to self).
   if (phase_ != Phase::kIdle || is_ca_) {

@@ -66,17 +66,6 @@ class GracefulSwitchModule final : public Module,
   // Listener on the versioned AAC services.
   void adeliver(NodeId sender, const Bytes& inner_payload) override;
 
-  /// Initiates the coordinated adaptation (this stack becomes the CA).
-  /// Throws if `protocol` requires a service that is not bound — the
-  /// Graceful Adaptation restriction.
-  ///
-  /// DEPRECATED: new code should use the service-generic control plane —
-  /// `UpdateApi::request_update("abcast", protocol, params)` — which
-  /// validates against the ProtocolRegistry and emits the generic
-  /// convergence markers (see README migration note).
-  void change_adaptation(const std::string& protocol,
-                         const ModuleParams& params = ModuleParams());
-
   // ---- UpdateMechanism (repl/update.hpp) -----------------------------------
   [[nodiscard]] const std::string& update_service() const override {
     return config_.facade_service;
@@ -84,10 +73,11 @@ class GracefulSwitchModule final : public Module,
   [[nodiscard]] const char* update_mechanism_name() const override {
     return "graceful";
   }
+  /// Initiates the coordinated adaptation (this stack becomes the CA).
+  /// Throws std::logic_error if `protocol` requires a service that is not
+  /// bound — the Graceful Adaptation restriction.
   void request_update(const std::string& protocol,
-                      const ModuleParams& params) override {
-    change_adaptation(protocol, params);
-  }
+                      const ModuleParams& params) override;
   /// The *activated* AAC, not the prepared one: until barrier round 3 the
   /// application still runs on the old protocol.
   [[nodiscard]] UpdateStatus update_status() const override {

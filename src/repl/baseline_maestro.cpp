@@ -93,11 +93,11 @@ void MaestroSwitchModule::inner_abcast_wrapped(const MsgId& id,
   });
 }
 
-void MaestroSwitchModule::change_stack(const std::string& protocol,
-                                       const ModuleParams& params) {
+void MaestroSwitchModule::request_update(const std::string& protocol,
+                                         const ModuleParams& params) {
   if (stack().library() == nullptr ||
       stack().library()->find(protocol) == nullptr) {
-    throw std::logic_error("change_stack: unknown protocol '" + protocol + "'");
+    throw std::logic_error("maestro: unknown protocol '" + protocol + "'");
   }
   BufWriter w(protocol.size() + 32);
   w.put_u8(kSwitchMarker);

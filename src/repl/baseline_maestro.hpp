@@ -65,15 +65,6 @@ class MaestroSwitchModule final : public Module,
   // Inner listener.
   void adeliver(NodeId sender, const Bytes& inner_payload) override;
 
-  /// Requests a full-stack switch to `protocol` (totally ordered cut).
-  ///
-  /// DEPRECATED: new code should use the service-generic control plane —
-  /// `UpdateApi::request_update("abcast", protocol, params)` — which
-  /// validates against the ProtocolRegistry and emits the generic
-  /// convergence markers (see README migration note).
-  void change_stack(const std::string& protocol,
-                    const ModuleParams& params = ModuleParams());
-
   // ---- UpdateMechanism (repl/update.hpp) -----------------------------------
   [[nodiscard]] const std::string& update_service() const override {
     return config_.facade_service;
@@ -81,10 +72,10 @@ class MaestroSwitchModule final : public Module,
   [[nodiscard]] const char* update_mechanism_name() const override {
     return "maestro";
   }
+  /// Requests a full-stack switch to `protocol` (totally ordered cut).
+  /// Throws std::logic_error for a protocol the library does not know.
   void request_update(const std::string& protocol,
-                      const ModuleParams& params) override {
-    change_stack(protocol, params);
-  }
+                      const ModuleParams& params) override;
   [[nodiscard]] UpdateStatus update_status() const override {
     return UpdateStatus{cur_protocol_, version_};
   }

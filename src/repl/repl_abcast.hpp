@@ -16,7 +16,7 @@
 // (repl/facade.hpp, ReplacementFacadeBase); this class supplies only the
 // abcast-specific parts of Algorithm 1 (code of stack i):
 //   1-4   state:            base (undelivered set, seq_number, cur module)
-//   5-6   changeABcast(p):  change_abcast()   -> inner ABcast(newABcast,sn,p)
+//   5-6   changeABcast(p):  request_update()  -> inner ABcast(newABcast,sn,p)
 //   7-9   rABcast(m):       abcast(m)         -> undelivered += m;
 //                                                inner ABcast(nil,sn,m)
 //   10-16 Adeliver(newABcast,sn,prot):
@@ -83,22 +83,11 @@ class ReplAbcastModule final : public ReplacementFacadeBase,
   // ---- Inner-service listener (Algorithm 1 lines 10-21: Adeliver) ----
   void adeliver(NodeId sender, const Bytes& inner_payload) override;
 
-  /// Algorithm 1 lines 5-6: requests a global, totally-ordered switch of the
-  /// inner ABcast protocol to `protocol` (a library name).  Any stack may
-  /// call this; every stack performs the switch at the same point of the
-  /// ABcast delivery order.
-  ///
-  /// DEPRECATED: new code should use the service-generic control plane —
-  /// `UpdateApi::request_update("abcast", protocol, params)` on the stack's
-  /// "update" service — which validates against the ProtocolRegistry and
-  /// emits the generic convergence markers (see README migration note).
-  void change_abcast(const std::string& protocol,
-                     const ModuleParams& params = ModuleParams()) {
-    request_change(protocol, params);
-  }
-
-  // ---- UpdateMechanism (repl/update.hpp): the same switch, driven through
-  // the service-generic control plane ----------------------------------------
+  // ---- UpdateMechanism (repl/update.hpp) -----------------------------------
+  // Algorithm 1 lines 5-6 are request_update (ReplacementFacadeBase): a
+  // global, totally-ordered switch of the inner ABcast protocol.  Any stack
+  // may request it; every stack performs the switch at the same point of
+  // the ABcast delivery order.
   [[nodiscard]] const char* update_mechanism_name() const override {
     return "repl";
   }

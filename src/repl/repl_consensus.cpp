@@ -127,11 +127,11 @@ std::uint32_t ReplConsensusModule::stream_version(StreamId stream) const {
 // Switch announcement
 // ---------------------------------------------------------------------------
 
-void ReplConsensusModule::change_consensus(const std::string& protocol,
-                                           const ModuleParams& params) {
+void ReplConsensusModule::request_update(const std::string& protocol,
+                                         const ModuleParams& params) {
   if (stack().library() == nullptr ||
       stack().library()->find(protocol) == nullptr) {
-    throw std::logic_error("change_consensus: unknown protocol '" + protocol +
+    throw std::logic_error("repl-consensus: unknown protocol '" + protocol +
                            "'");
   }
   stack().trace(TraceKind::kCustom, config_.facade_service, instance_name(),

@@ -76,16 +76,6 @@ class ReplConsensusModule final : public Module,
   /// the stream hold decisions to resend.
   void consensus_sync(StreamId stream, InstanceId from_instance) override;
 
-  /// Requests a global switch of the consensus protocol.  Lazy per stream:
-  /// each stream migrates at its next decided instance.
-  ///
-  /// DEPRECATED: new code should use the service-generic control plane —
-  /// `UpdateApi::request_update("consensus", protocol, params)` — which
-  /// validates against the ProtocolRegistry and emits the generic
-  /// convergence markers (see README migration note).
-  void change_consensus(const std::string& protocol,
-                        const ModuleParams& params = ModuleParams());
-
   // ---- UpdateMechanism (repl/update.hpp) -----------------------------------
   [[nodiscard]] const std::string& update_service() const override {
     return config_.facade_service;
@@ -93,10 +83,11 @@ class ReplConsensusModule final : public Module,
   [[nodiscard]] const char* update_mechanism_name() const override {
     return "repl-consensus";
   }
+  /// Requests a global switch of the consensus protocol.  Lazy per stream:
+  /// each stream migrates at its next decided instance.  Throws
+  /// std::logic_error for a protocol the library does not know.
   void request_update(const std::string& protocol,
-                      const ModuleParams& params) override {
-    change_consensus(protocol, params);
-  }
+                      const ModuleParams& params) override;
   /// Consensus migrates lazily per stream, so "the current version" is the
   /// slowest routed stream's authoritative version: a stack reports the new
   /// protocol only once every stream it serves has crossed its boundary.

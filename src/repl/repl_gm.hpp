@@ -79,12 +79,6 @@ class ReplGmModule final : public ReplacementFacadeBase,
   // ---- Inner-version GmListener (views of the current version) ------------
   void on_view(const View& view) override;
 
-  /// Requests a global, totally-ordered switch of the inner GM protocol.
-  void change_gm(const std::string& protocol,
-                 const ModuleParams& params = ModuleParams()) {
-    request_change(protocol, params);
-  }
-
   [[nodiscard]] const char* update_mechanism_name() const override {
     return "repl-gm";
   }

@@ -84,14 +84,10 @@ class ReplRbcastModule final : public ReplacementFacadeBase, public RbcastApi {
   void rbcast_bind_channel(ChannelId channel, BroadcastHandler handler) override;
   void rbcast_release_channel(ChannelId channel) override;
 
-  /// Requests a global switch of the inner rbcast protocol.  Every correct
-  /// stack performs the switch exactly once (reliable broadcast), each at
-  /// its own point of its unordered delivery sequence.
-  void change_rbcast(const std::string& protocol,
-                     const ModuleParams& params = ModuleParams()) {
-    request_change(protocol, params);
-  }
-
+  // request_update (ReplacementFacadeBase) switches the inner rbcast
+  // protocol globally: every correct stack performs the switch exactly once
+  // (reliable broadcast), each at its own point of its unordered delivery
+  // sequence.
   [[nodiscard]] const char* update_mechanism_name() const override {
     return "repl-rbcast";
   }

@@ -26,9 +26,9 @@ struct CampaignOptions {
   /// Worker threads; 0 = hardware concurrency.
   std::size_t threads = 0;
   /// Executes one (spec, seed) cell.  Null = run_scenario with `run` — the
-  /// in-process engines.  cluster_campaign injects the ClusterSupervisor
-  /// here, so the proc engine reuses the whole campaign pipeline (sweep,
-  /// document assembly, verdict roll-up) unchanged.
+  /// in-process engines.  scenario_campaign injects the ClusterSupervisor
+  /// here for proc specs, so the proc engine reuses the whole campaign
+  /// pipeline (sweep, document assembly, verdict roll-up) unchanged.
   std::function<ScenarioResult(const ScenarioSpec&, std::uint64_t)> run_fn;
   /// Cooperative cancellation (signal handlers flip it): workers stop
   /// claiming cells, the document marks itself "interrupted" and unrun

@@ -21,11 +21,13 @@ void harvest_modules(NodeAccum& acc, const NodeModules& m) {
     acc.snapshots_served += m.repl->snapshots_served();
     acc.state_replayed += m.repl->replayed_from_snapshot();
   }
+  acc.dedup_entries.reset();
   if (m.repl_rbcast != nullptr) {
     acc.reissued += m.repl_rbcast->reissued_total();
     acc.stale_discarded += m.repl_rbcast->stale_discarded();
     acc.snapshots_served += m.repl_rbcast->snapshots_served();
     acc.state_replayed += m.repl_rbcast->replayed_from_snapshot();
+    acc.dedup_entries = m.repl_rbcast->dedup_entries();
   }
   if (m.repl_gm != nullptr) {
     acc.snapshots_served += m.repl_gm->snapshots_served();
@@ -42,6 +44,46 @@ void harvest_modules(NodeAccum& acc, const NodeModules& m) {
     acc.app_blocked += m.graceful->total_queueing_window();
     acc.calls_queued += m.graceful->calls_queued_during_switch();
   }
+}
+
+Json NodeAccum::to_json() const {
+  Json counts = Json::object();
+  counts.set("sent", sent);
+  counts.set("delivered", deliveries);
+  counts.set("reissued", reissued);
+  counts.set("stale_discarded", stale_discarded);
+  counts.set("decisions_delivered", decisions_delivered);
+  counts.set("snapshots_served", snapshots_served);
+  counts.set("state_replayed", state_replayed);
+  counts.set("app_blocked_ns", app_blocked);
+  counts.set("calls_queued", calls_queued);
+  counts.set("retransmissions", retransmissions);
+  counts.set("acks_sent", acks_sent);
+  if (dedup_entries.has_value()) counts.set("dedup_entries", *dedup_entries);
+  return counts;
+}
+
+NodeAccum NodeAccum::from_json(const Json& counts) {
+  auto count = [&counts](const char* key) -> std::uint64_t {
+    const Json* v = counts.find(key);
+    return v != nullptr ? static_cast<std::uint64_t>(v->as_int()) : 0;
+  };
+  NodeAccum acc;
+  acc.sent = count("sent");
+  acc.deliveries = count("delivered");
+  acc.reissued = count("reissued");
+  acc.stale_discarded = count("stale_discarded");
+  acc.decisions_delivered = count("decisions_delivered");
+  acc.snapshots_served = count("snapshots_served");
+  acc.state_replayed = count("state_replayed");
+  acc.app_blocked = static_cast<Duration>(count("app_blocked_ns"));
+  acc.calls_queued = count("calls_queued");
+  acc.retransmissions = count("retransmissions");
+  acc.acks_sent = count("acks_sent");
+  if (counts.find("dedup_entries") != nullptr) {
+    acc.dedup_entries = count("dedup_entries");
+  }
+  return acc;
 }
 
 CompositionPlan CompositionPlan::from_spec(const ScenarioSpec& spec) {
@@ -234,6 +276,21 @@ ComposedStack compose_stack(Stack& stack, const ScenarioSpec& spec,
   }
   stack.start_all();
   return out;
+}
+
+std::string final_protocol_of(const ScenarioSpec& spec,
+                              const CompositionPlan& plan,
+                              const NodeModules& m) {
+  const std::string report_service =
+      spec.updates.empty()
+          ? (plan.managed.empty() ? std::string()
+                                  : plan.managed.begin()->first)
+          : spec.updates.back().target_service();
+  if (!report_service.empty() && m.update != nullptr) {
+    return m.update->current_version(report_service).protocol;
+  }
+  return spec.updates.empty() ? spec.initial_protocol
+                              : spec.updates.back().protocol;
 }
 
 StandardStackOptions stack_options_for_spec(const ScenarioSpec& spec) {

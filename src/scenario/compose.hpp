@@ -18,6 +18,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "abcast/abcast.hpp"
@@ -68,12 +69,21 @@ struct NodeAccum {
   std::uint64_t state_replayed = 0;
   Duration app_blocked = 0;
   std::uint64_t calls_queued = 0;
+  /// Gauge, not a counter: the rbcast dedup state the last harvested
+  /// incarnation retained (absent without an rbcast facade).  After the
+  /// end-of-run harvest it is the live incarnation's.
+  std::optional<std::uint64_t> dedup_entries;
+
+  /// The proc agent's per-node `counts` object (nodes[].counts in proc
+  /// result documents); from_json reads it back, absent keys as zero.
+  [[nodiscard]] Json to_json() const;
+  [[nodiscard]] static NodeAccum from_json(const Json& counts);
 };
 
 /// Folds one incarnation's module counters into the accumulator — used
 /// both when an incarnation dies (recovery) and at end of run for the live
 /// one, so a counter added here is counted across recoveries by
-/// construction.
+/// construction.  Gauges are overwritten rather than summed.
 void harvest_modules(NodeAccum& acc, const NodeModules& m);
 
 /// The composition shape derived from a spec: which layers are replaceable
@@ -121,6 +131,14 @@ struct ComposedStack {
                                           const StandardStackOptions& options,
                                           TimePoint since,
                                           const ComposeHooks& hooks);
+
+/// The convergence witness of one live stack: what the last-updated service
+/// (with no update planned, the first managed one) runs there, as its update
+/// mechanism reports it.  With nothing replaceable, the composition's
+/// initial protocol, which by construction still runs.
+[[nodiscard]] std::string final_protocol_of(const ScenarioSpec& spec,
+                                            const CompositionPlan& plan,
+                                            const NodeModules& m);
 
 /// Substrate tuning + registry registration inputs for a spec: the
 /// spec-level mechanism's own layer gets initial_protocol, the fd and

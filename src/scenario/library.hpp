@@ -23,8 +23,8 @@ namespace dpu::scenario {
 /// Curated process-per-node deployments (engine "proc"): 50-to-200-stack
 /// campaigns sized for real OS processes over UDP sockets.  Kept separate
 /// from curated_scenarios() so the sim campaign baseline (byte-compared in
-/// CI) is untouched; cluster_campaign runs these by default, and the same
-/// specs run unchanged on sim/rt via --engine.
+/// CI) is untouched; scenario_campaign runs them by name (--scenario), and
+/// the same specs run unchanged on sim/rt via --engine.
 [[nodiscard]] std::vector<ScenarioSpec> curated_proc_scenarios();
 
 /// Looks a curated scenario up by name (both libraries).

@@ -5,15 +5,7 @@
 #include <stdexcept>
 
 #include "abcast/audit.hpp"
-#include "app/policy.hpp"
 #include "app/stack_builder.hpp"
-#include "app/workload.hpp"
-#include "repl/baseline_graceful.hpp"
-#include "repl/baseline_maestro.hpp"
-#include "repl/repl_abcast.hpp"
-#include "repl/repl_consensus.hpp"
-#include "repl/repl_gm.hpp"
-#include "repl/repl_rbcast.hpp"
 #include "repl/update.hpp"
 #include "rt/rt_world.hpp"
 #include "runtime/world.hpp"
@@ -31,7 +23,7 @@ Duration ScenarioResult::max_switch_downtime() const {
 }
 
 // ---------------------------------------------------------------------------
-// Switch-window extraction
+// Distillation: raw run facts -> verdicts and summaries (every engine)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -51,6 +43,10 @@ bool parse_update_marker(const std::string& detail, const char* marker,
                                ? std::string::npos
                                : protocol_end - service_end - 1);
   return true;
+}
+
+void append(PropertyReport& into, const PropertyReport& from) {
+  for (const std::string& v : from.violations) into.fail(v);
 }
 
 }  // namespace
@@ -86,55 +82,105 @@ std::vector<UpdateOutcome> extract_update_outcomes(
   return outcomes;
 }
 
-std::vector<std::pair<TimePoint, TimePoint>> extract_switch_windows(
-    const std::vector<TraceEvent>& events, std::size_t n) {
-  // Generic control-plane markers rule when present (every mechanism emits
-  // them through the UpdateManagerModule).
-  const std::vector<UpdateOutcome> outcomes = extract_update_outcomes(events);
-  if (!outcomes.empty()) {
-    std::vector<std::pair<TimePoint, TimePoint>> windows;
-    windows.reserve(outcomes.size());
-    for (const UpdateOutcome& o : outcomes) {
-      windows.emplace_back(o.requested, o.converged);
-    }
-    return windows;
+void distill_result(const ScenarioSpec& spec, RunFacts facts,
+                    ScenarioResult& result) {
+  result.crashed = std::move(facts.crashed);
+  for (NodeId i = 0; i < spec.n; ++i) {
+    const bool live = result.crashed.count(i) == 0;
+    if (live && facts.recovery_time[i] >= 0) result.recovered.insert(i);
+    const NodeAccum& acc = facts.counts[i];
+    result.messages_sent += acc.sent;
+    result.deliveries += acc.deliveries;
+    result.retransmissions += acc.retransmissions;
+    result.acks_sent += acc.acks_sent;
+    result.reissued += acc.reissued;
+    result.stale_discarded += acc.stale_discarded;
+    result.decisions_delivered += acc.decisions_delivered;
+    result.snapshots_served += acc.snapshots_served;
+    result.state_replayed += acc.state_replayed;
+    result.app_blocked_total += acc.app_blocked;
+    result.calls_queued += acc.calls_queued;
+    // Retained dedup state is a gauge, not a counter: only the live
+    // incarnation's interval runs still occupy memory.
+    if (live) result.dedup_entries += acc.dedup_entries.value_or(0);
   }
 
-  // Legacy per-mechanism markers (stacks composed without a manager).
-  auto has_prefix = [](const std::string& s, const char* prefix) {
-    return s.rfind(prefix, 0) == 0;
-  };
-  std::vector<TimePoint> requests;
-  std::vector<std::vector<TimePoint>> done_times;  // per request, per stack
-  for (const TraceEvent& e : events) {
-    if (e.kind != TraceKind::kCustom) continue;
-    if (has_prefix(e.detail, ReplAbcastModule::kTraceChangeRequested) ||
-        has_prefix(e.detail, ReplConsensusModule::kTraceChangeRequested)) {
-      requests.push_back(e.time);
-      done_times.emplace_back();
-    } else if (has_prefix(e.detail, ReplAbcastModule::kTraceSwitchDone) ||
-               has_prefix(e.detail,
-                          ReplConsensusModule::kTraceVersionCreated) ||
-               e.detail == MaestroSwitchModule::kTraceUnblocked ||
-               e.detail == GracefulSwitchModule::kTraceActivated) {
-      if (!done_times.empty()) done_times.back().push_back(e.time);
-    } else if (e.detail == MaestroSwitchModule::kTraceBlocked ||
-               e.detail == GracefulSwitchModule::kTraceDeactivated) {
-      // Baseline runs have no explicit request marker; open a window at the
-      // first per-switch event.
-      if (done_times.empty() || done_times.back().size() >= n) {
-        requests.push_back(e.time);
-        done_times.emplace_back();
-      }
+  result.trace = std::move(facts.trace);
+  result.updates = extract_update_outcomes(result.trace);
+  // switch_windows is the outcomes projected to [request, converged].
+  result.switch_windows.reserve(result.updates.size());
+  for (const UpdateOutcome& o : result.updates) {
+    result.switch_windows.emplace_back(o.requested, o.converged);
+  }
+
+  // Retransmission regression gate (crash-storm scenarios): a bounded
+  // count proves crashed stacks stop attracting retransmissions.
+  if (spec.max_retransmissions > 0 &&
+      result.retransmissions > spec.max_retransmissions) {
+    result.generic_report.fail(
+        "retransmissions " + std::to_string(result.retransmissions) +
+        " exceed the spec bound " +
+        std::to_string(spec.max_retransmissions));
+  }
+
+  if (facts.audit == nullptr) return;
+  result.abcast_report = facts.audit->check(spec.n, result.crashed);
+
+  // Generic DPU properties (§3), evaluated for the correct stacks: events
+  // of crashed stacks are excluded from well-formedness (a crash may
+  // legitimately strand a queued call forever), and so are a recovered
+  // stack's pre-recovery events (they belong to an incarnation the crash
+  // killed mid-flight).
+  std::vector<TraceEvent> correct_events;
+  correct_events.reserve(result.trace.size());
+  for (const TraceEvent& e : result.trace) {
+    if (result.crashed.count(e.node) != 0) continue;
+    if (e.node < spec.n && facts.recovery_time[e.node] >= 0 &&
+        e.time < facts.recovery_time[e.node]) {
+      continue;
+    }
+    correct_events.push_back(e);
+  }
+  append(result.generic_report,
+         check_weak_stack_well_formedness(correct_events));
+  if (spec.mechanism != Mechanism::kNone) {
+    append(result.generic_report,
+           check_protocol_operationability(result.trace, spec.n, result.crashed,
+                                           facts.recovery_time));
+  }
+  for (NodeId i = 0; i < spec.n; ++i) {
+    if (result.crashed.count(i) != 0) continue;
+    if (facts.pending_calls[i] != 0) {
+      result.generic_report.fail(
+          "stack " + std::to_string(i) + ": " +
+          std::to_string(facts.pending_calls[i]) +
+          " service call(s) still pending at end of run");
     }
   }
-  std::vector<std::pair<TimePoint, TimePoint>> windows;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    TimePoint end = requests[i];
-    for (TimePoint t : done_times[i]) end = std::max(end, t);
-    windows.emplace_back(requests[i], end);
+}
+
+void admit_scenario(const ScenarioSpec& spec) {
+  const std::vector<std::string> problems = spec.validate();
+  if (!problems.empty()) {
+    std::string what = "scenario '" + spec.name + "' is invalid:";
+    for (const std::string& p : problems) what += "\n  - " + p;
+    throw std::invalid_argument(what);
   }
-  return windows;
+  // validate() enforces the mechanism-level rules it can see, but whether a
+  // layer's replacement facade answers state requests is a composition fact
+  // only the registry records.
+  if (spec.recoveries.empty() && spec.late_joins.empty()) return;
+  const ProtocolRegistry library =
+      make_standard_library(stack_options_for_spec(spec));
+  for (const auto& [svc, m] : spec.managed_services()) {
+    (void)m;
+    if (!library.state_transfer(svc)) {
+      throw std::invalid_argument(
+          "scenario '" + spec.name + "': recoveries/late joins require "
+          "the state_transfer capability on replaceable service '" + svc +
+          "'");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -142,10 +188,6 @@ std::vector<std::pair<TimePoint, TimePoint>> extract_switch_windows(
 // ---------------------------------------------------------------------------
 
 namespace {
-
-void append(PropertyReport& into, const PropertyReport& from) {
-  for (const std::string& v : from.violations) into.fail(v);
-}
 
 /// Audit tap on the abcast facade.  Records only workload (probe-stamped)
 /// deliveries: with a GM layer composed, topic frames ride the same facade
@@ -187,8 +229,9 @@ ScenarioResult run_on_world(WorldControl& world, const ScenarioSpec& spec,
   std::vector<std::unique_ptr<ProbeAuditListener>> audit_listeners;
   std::vector<std::unique_ptr<LatencyProbe>> probes;
   std::vector<NodeModules> nodes(spec.n);
-  std::vector<NodeAccum> accum(spec.n);
-  std::vector<TimePoint> recovery_time(spec.n, -1);
+  RunFacts facts;
+  facts.counts.resize(spec.n);
+  facts.recovery_time.assign(spec.n, -1);
 
   // ---- Composition ---------------------------------------------------------
   // The composition plan and the stack assembly live in scenario/compose.*:
@@ -246,13 +289,13 @@ ScenarioResult run_on_world(WorldControl& world, const ScenarioSpec& spec,
       // and delivery records (no-op on the simulator).  Only then harvest
       // the dead incarnation's counters and archive its audit log.
       world.quiesce_node(rec.node);
-      harvest_modules(accum[rec.node], nodes[rec.node]);
+      harvest_modules(facts.counts[rec.node], nodes[rec.node]);
       audit.record_recovered(rec.node);
       world.recover(rec.node);
       // Re-compose on the fresh stack — on the node's own executor, which
       // is where module code must run once the world is live.
       world.run_on_node(rec.node, [&, rec]() { compose(rec.node, rec.at); });
-      recovery_time[rec.node] = rec.at;
+      facts.recovery_time[rec.node] = rec.at;
     });
   }
 
@@ -354,121 +397,22 @@ ScenarioResult run_on_world(WorldControl& world, const ScenarioSpec& spec,
   for (NodeId i = 0; i < spec.n; ++i) {
     result.collector->merge(*node_collectors[i]);
   }
-
-  result.crashed = world.crashed_set();
-  for (NodeId i = 0; i < spec.n; ++i) {
-    if (recovery_time[i] >= 0 && result.crashed.count(i) == 0) {
-      result.recovered.insert(i);
-    }
-  }
   result.packets_sent = world.packets_sent();
   result.packets_dropped = world.packets_dropped();
+  facts.crashed = world.crashed_set();
+  facts.pending_calls.assign(spec.n, 0);
   for (NodeId i = 0; i < spec.n; ++i) {
-    NodeAccum& acc = accum[i];
-    harvest_modules(acc, nodes[i]);  // live incarnation joins the totals
-    result.messages_sent += acc.sent;
-    result.deliveries += acc.deliveries;
-    result.retransmissions += acc.retransmissions;
-    result.acks_sent += acc.acks_sent;
-    result.reissued += acc.reissued;
-    result.stale_discarded += acc.stale_discarded;
-    result.decisions_delivered += acc.decisions_delivered;
-    result.snapshots_served += acc.snapshots_served;
-    result.state_replayed += acc.state_replayed;
-    result.app_blocked_total += acc.app_blocked;
-    result.calls_queued += acc.calls_queued;
-    // Retained dedup state is a gauge, not a counter: only the live
-    // incarnation's interval runs still occupy memory.
-    if (result.crashed.count(i) == 0 && nodes[i].repl_rbcast != nullptr) {
-      result.dedup_entries += nodes[i].repl_rbcast->dedup_entries();
-    }
-  }
-
-  // The convergence witness: what the last-updated service actually runs on
-  // each stack at end of run, as reported by its update mechanism.
-  const std::string report_service =
-      spec.updates.empty()
-          ? (plan.managed.empty() ? std::string()
-                                  : plan.managed.begin()->first)
-          : spec.updates.back().target_service();
-  const std::string planned_final =
-      spec.updates.empty() ? spec.initial_protocol
-                           : spec.updates.back().protocol;
-  for (NodeId i = 0; i < spec.n; ++i) {
-    const NodeModules& m = nodes[i];
-    if (result.crashed.count(i) != 0) {
+    harvest_modules(facts.counts[i], nodes[i]);  // the live incarnation
+    if (facts.crashed.count(i) != 0) {
       result.final_protocol.emplace_back();
-    } else if (!report_service.empty() && m.update != nullptr) {
-      result.final_protocol.push_back(
-          m.update->current_version(report_service).protocol);
-    } else {
-      // Nothing replaceable in this run: the composition's initial protocol
-      // is, by construction, still running.
-      result.final_protocol.push_back(planned_final);
+      continue;
     }
+    result.final_protocol.push_back(final_protocol_of(spec, plan, nodes[i]));
+    facts.pending_calls[i] = world.stack(i).pending_call_count();
   }
-
-  result.trace = trace_recorder.events();
-  result.updates = extract_update_outcomes(result.trace);
-  if (!result.updates.empty()) {
-    // switch_windows is the outcomes projected to [request, converged] —
-    // no second trace scan needed.
-    result.switch_windows.reserve(result.updates.size());
-    for (const UpdateOutcome& o : result.updates) {
-      result.switch_windows.emplace_back(o.requested, o.converged);
-    }
-  } else {
-    // Legacy per-mechanism markers (no manager-driven update ran).
-    result.switch_windows = extract_switch_windows(result.trace, spec.n);
-  }
-
-  // Retransmission regression gate (crash-storm scenarios): a bounded
-  // count proves crashed stacks stop attracting retransmissions.
-  if (spec.max_retransmissions > 0 &&
-      result.retransmissions > spec.max_retransmissions) {
-    result.generic_report.fail(
-        "retransmissions " + std::to_string(result.retransmissions) +
-        " exceed the spec bound " +
-        std::to_string(spec.max_retransmissions));
-  }
-
-  // ---- Verdicts -----------------------------------------------------------
-
-  if (options.with_audit) {
-    result.abcast_report = audit.check(spec.n, result.crashed);
-
-    // Generic DPU properties (§3), evaluated for the correct stacks: events
-    // of crashed stacks are excluded from well-formedness (a crash may
-    // legitimately strand a queued call forever), and so are a recovered
-    // stack's pre-recovery events (they belong to an incarnation the crash
-    // killed mid-flight).
-    std::vector<TraceEvent> correct_events;
-    correct_events.reserve(result.trace.size());
-    for (const TraceEvent& e : result.trace) {
-      if (result.crashed.count(e.node) != 0) continue;
-      if (e.node < spec.n && recovery_time[e.node] >= 0 &&
-          e.time < recovery_time[e.node]) {
-        continue;
-      }
-      correct_events.push_back(e);
-    }
-    append(result.generic_report,
-           check_weak_stack_well_formedness(correct_events));
-    if (spec.mechanism != Mechanism::kNone) {
-      append(result.generic_report,
-             check_protocol_operationability(result.trace, spec.n,
-                                             result.crashed, recovery_time));
-    }
-    for (NodeId i = 0; i < spec.n; ++i) {
-      if (result.crashed.count(i) != 0) continue;
-      const std::size_t pending = world.stack(i).pending_call_count();
-      if (pending != 0) {
-        result.generic_report.fail(
-            "stack " + std::to_string(i) + ": " + std::to_string(pending) +
-            " service call(s) still pending at end of run");
-      }
-    }
-  }
+  facts.trace = trace_recorder.events();
+  if (options.with_audit) facts.audit = &audit;
+  distill_result(spec, std::move(facts), result);
   return result;
 }
 
@@ -476,12 +420,7 @@ ScenarioResult run_on_world(WorldControl& world, const ScenarioSpec& spec,
 
 ScenarioResult run_scenario(const ScenarioSpec& spec, std::uint64_t seed,
                             const RunOptions& options) {
-  const std::vector<std::string> problems = spec.validate();
-  if (!problems.empty()) {
-    std::string what = "scenario '" + spec.name + "' is invalid:";
-    for (const std::string& p : problems) what += "\n  - " + p;
-    throw std::invalid_argument(what);
-  }
+  admit_scenario(spec);
 
   // A proc spec is executed by real OS processes: the supervisor/agent pair
   // in src/cluster owns the lifecycle (spawn, SIGKILL, respawn, harvest).
@@ -489,7 +428,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, std::uint64_t seed,
   if (spec.engine == Engine::kProc) {
     throw std::invalid_argument(
         "scenario '" + spec.name + "': engine \"proc\" runs as real "
-        "processes; use cluster_campaign (ClusterSupervisor), or override "
+        "processes; use scenario_campaign (ClusterSupervisor), or override "
         "the engine with --engine sim|rt");
   }
 
@@ -497,22 +436,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, std::uint64_t seed,
   // carries the substrate tuning and the registry registration inputs.
   const StandardStackOptions stack_options = stack_options_for_spec(spec);
   ProtocolRegistry library = make_standard_library(stack_options);
-
-  // Recovery/late-join scenarios need every managed layer to declare the
-  // state-transfer capability: validate() enforces the mechanism-level
-  // rules it can see, but whether a layer's replacement facade answers
-  // state requests is a composition fact only the registry records.
-  if (!spec.recoveries.empty() || !spec.late_joins.empty()) {
-    for (const auto& [svc, m] : spec.managed_services()) {
-      (void)m;
-      if (!library.state_transfer(svc)) {
-        throw std::invalid_argument(
-            "scenario '" + spec.name + "': recoveries/late joins require "
-            "the state_transfer capability on replaceable service '" + svc +
-            "'");
-      }
-    }
-  }
   TraceRecorder trace_recorder;
 
   if (spec.engine == Engine::kRt) {

@@ -8,7 +8,9 @@
 // the spec — including crash-recoveries, which re-compose the recovered
 // node's stack exactly like at setup — runs the world to quiescence, and
 // distills a ScenarioResult: audit verdicts, latency percentiles, switch
-// windows/downtime, per-update convergence, and raw counters.
+// windows/downtime, per-update convergence, and raw counters.  The distill
+// step (distill_result) is shared with the proc engine's supervisor, so
+// all three engines derive their verdicts from one function.
 //
 // Updates are dispatched uniformly through the UpdateApi control plane
 // (repl/update.hpp): `request_update(service, protocol)` on the initiator's
@@ -27,9 +29,11 @@
 #include <utility>
 #include <vector>
 
+#include "abcast/audit.hpp"
 #include "app/probe.hpp"
 #include "core/properties.hpp"
 #include "core/trace.hpp"
+#include "scenario/compose.hpp"
 #include "scenario/spec.hpp"
 
 namespace dpu::scenario {
@@ -151,19 +155,49 @@ struct ScenarioResult {
 /// Reconstructs per-update outcomes from the UpdateManagerModule's generic
 /// "update-requested"/"update-done" markers.  Completions pair with the
 /// latest not-younger request of the same service, so back-to-back updates
-/// and crash-recovery replays attribute like the legacy extraction did.
+/// and crash-recovery replays attribute to the update they complete.
 [[nodiscard]] std::vector<UpdateOutcome> extract_update_outcomes(
     const std::vector<TraceEvent>& events);
 
-/// Extracts [request, last-stack-done] switch windows.  Prefers the generic
-/// control-plane markers; traces recorded without an UpdateManagerModule
-/// (mechanisms driven directly through their legacy entry points) fall back
-/// to the per-mechanism markers.
-[[nodiscard]] std::vector<std::pair<TimePoint, TimePoint>>
-extract_switch_windows(const std::vector<TraceEvent>& events, std::size_t n);
+/// The raw facts an engine gathers from one finished run.  Every engine
+/// hands them to distill_result, which derives the verdicts and summaries
+/// of the ScenarioResult the same way for all three.  Per-node vectors
+/// hold one entry per node of the spec.
+struct RunFacts {
+  std::set<NodeId> crashed;  ///< down at the end of the run
+  /// When each node's current incarnation started (recovery or late
+  /// join); -1 for a node that never restarted.
+  std::vector<TimePoint> recovery_time;
+  /// Counters summed over every incarnation of the node (zero where an
+  /// engine cannot observe them); gauges of the last harvested one.
+  std::vector<NodeAccum> counts;
+  /// Service calls still pending on each live stack at the end of the run.
+  std::vector<std::size_t> pending_calls;
+  /// Every node's trace, merged in time order.
+  std::vector<TraceEvent> trace;
+  /// The §5.1 audit fed with every incarnation's sends and deliveries;
+  /// null runs no property check at all (RunOptions::with_audit off).
+  const AbcastAudit* audit = nullptr;
+};
 
-/// Runs `spec` under `seed`.  The spec must validate; throws
-/// std::invalid_argument listing the problems otherwise.
+/// Distills `facts` into `result`: crashed/recovered sets, the counter
+/// fold, per-update outcomes and their switch windows, the retransmission
+/// bound, and, with an audit, the §5.1 verdict, §3 well-formedness over the
+/// correct stacks' events, operationability (unless the mechanism is
+/// "none") and the pending-call check.  Violations are appended after any
+/// the engine recorded itself.
+void distill_result(const ScenarioSpec& spec, RunFacts facts,
+                    ScenarioResult& result);
+
+/// Admits `spec` to any engine: validate(), plus the composition-level rule
+/// that recoveries and late joins need every managed layer to support state
+/// transfer (ProtocolRegistry::state_transfer).  Throws
+/// std::invalid_argument naming the problems.
+void admit_scenario(const ScenarioSpec& spec);
+
+/// Runs `spec` under `seed` in-process (engine sim or rt).  The spec must
+/// be admissible; throws std::invalid_argument otherwise, and for engine
+/// proc, which cluster::ClusterSupervisor runs.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec,
                                           std::uint64_t seed,
                                           const RunOptions& options = {});

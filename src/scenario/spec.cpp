@@ -375,10 +375,11 @@ std::vector<std::string> ScenarioSpec::validate() const {
   // Recovery and late join need a state-transfer path back into the group:
   // every repl-family facade provides one through the substrate (snapshot +
   // replay tail, or the consensus decided-history resend), but the maestro
-  // and graceful baselines rebuild whole stacks with no such protocol.  The
-  // runner additionally checks the registry's state_transfer capability for
-  // each managed service (ProtocolRegistry::state_transfer) — a composition
-  // fact validate() has no access to.
+  // and graceful baselines rebuild whole stacks with no such protocol.
+  // admit_scenario (runner.hpp) additionally asks the registry whether each
+  // managed service supports state transfer
+  // (ProtocolRegistry::state_transfer) — a composition fact validate() has
+  // no access to.
   if (!recoveries.empty() || !late_joins.empty()) {
     for (const auto& [svc, m] : managed) {
       if (m == Mechanism::kMaestro || m == Mechanism::kGraceful) {

@@ -4,10 +4,13 @@
 
 namespace dpu {
 
+namespace {
+constexpr std::array<char, 16> kHex = {'0', '1', '2', '3', '4', '5',
+                                       '6', '7', '8', '9', 'a', 'b',
+                                       'c', 'd', 'e', 'f'};
+}  // namespace
+
 std::string hex_dump(std::span<const std::uint8_t> data, std::size_t max_bytes) {
-  static constexpr std::array<char, 16> kHex = {'0', '1', '2', '3', '4', '5',
-                                                '6', '7', '8', '9', 'a', 'b',
-                                                'c', 'd', 'e', 'f'};
   std::string out;
   const std::size_t n = std::min(data.size(), max_bytes);
   out.reserve(n * 3 + 8);
@@ -17,6 +20,16 @@ std::string hex_dump(std::span<const std::uint8_t> data, std::size_t max_bytes) 
     out.push_back(kHex[data[i] & 0x0F]);
   }
   if (data.size() > n) out += "...";
+  return out;
+}
+
+std::string encode_hex(std::span<const std::uint8_t> data) {
+  std::string out;
+  out.reserve(data.size() * 2);
+  for (const std::uint8_t b : data) {
+    out.push_back(kHex[b >> 4]);
+    out.push_back(kHex[b & 0x0F]);
+  }
   return out;
 }
 

@@ -504,6 +504,9 @@ class BufReader {
 [[nodiscard]] std::string hex_dump(std::span<const std::uint8_t> data,
                                    std::size_t max_bytes = 32);
 
+/// Plain lowercase hex (no separators, no truncation): "deadbeef".
+[[nodiscard]] std::string encode_hex(std::span<const std::uint8_t> data);
+
 /// FNV-1a 64-bit hash; used to derive stable channel ids from instance names.
 [[nodiscard]] constexpr std::uint64_t fnv1a64(std::string_view s) {
   std::uint64_t h = 1469598103934665603ULL;

@@ -112,6 +112,47 @@ TEST(AbcastAudit, CrashedStackPrefixOrderChecked) {
   EXPECT_NE(report.summary().find("total order"), std::string::npos);
 }
 
+TEST(AbcastAudit, ViolationsNameBinaryMessagesInHex) {
+  // Probe payloads are binary.  Violations land in JSON result documents,
+  // so they must name messages in ASCII: every kind of violation, for
+  // payloads made of high bytes.
+  auto binary = [](std::uint8_t seed) {
+    Bytes b(64);
+    for (std::size_t k = 0; k < b.size(); ++k) {
+      b[k] = static_cast<std::uint8_t>(0x80 + ((seed + k) % 0x80));
+    }
+    return b;
+  };
+  const Bytes a = binary(0x1c);  // first byte 0x9c
+  const Bytes b = binary(0x20);
+  const Bytes ghost = binary(0x40);
+  AbcastAudit audit;
+  audit.record_sent(0, a);
+  audit.record_sent(0, b);
+  audit.record_sent(2, binary(0x60));         // validity: never delivered
+  audit.record_delivery(0, a);
+  audit.record_delivery(0, b);
+  audit.record_delivery(0, b);                // integrity: duplicate
+  audit.record_delivery(1, b);                // total order vs stack 0
+  audit.record_delivery(1, a);
+  audit.record_delivery(1, ghost);            // integrity: never abcast
+  audit.record_delivery(3, b);                // crashed stack, out of order
+  audit.record_delivery(3, a);
+  audit.record_recovered(4);
+  audit.record_delivery(4, ghost);            // dead incarnation log
+  const PropertyReport report = audit.check(5, {3});
+
+  EXPECT_FALSE(report.ok);
+  EXPECT_GE(report.violations.size(), 6u);
+  for (const std::string& v : report.violations) {
+    for (const char c : v) {
+      EXPECT_LT(static_cast<unsigned char>(c), 0x80) << v;
+    }
+  }
+  EXPECT_NE(report.summary().find("'9c9d9e9f"), std::string::npos)
+      << report.summary();
+}
+
 TEST(AbcastAudit, CountersWork) {
   AbcastAudit audit;
   audit.record_sent(0, to_bytes("x"));

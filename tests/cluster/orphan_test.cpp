@@ -1,10 +1,11 @@
 // Orphan safety and interrupt handling for the process-per-node runner.
 //
-// Drives the real cluster_campaign binary mid-run and then kills it two
-// ways: SIGKILL (nothing in userspace gets to clean up — the agents must
-// die via PR_SET_PDEATHSIG) and SIGTERM (the campaign must kill its
-// children, flush a partial results document marked "interrupted", and
-// exit with code 3).  Both paths must leave zero dpu_node processes.
+// Drives the real scenario_campaign binary through a proc-engine run and
+// kills it mid-run two ways: SIGKILL (nothing in userspace gets to clean
+// up — the agents must die via PR_SET_PDEATHSIG) and SIGTERM (the campaign
+// must kill its children, flush a partial results document marked
+// "interrupted", and exit with code 3).  Both paths must leave zero
+// dpu_node processes.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -31,7 +32,7 @@ std::string bin(const std::string& name) {
 }
 
 bool have_binaries() {
-  return ::access(bin("cluster_campaign").c_str(), X_OK) == 0 &&
+  return ::access(bin("scenario_campaign").c_str(), X_OK) == 0 &&
          ::access(bin("dpu_node").c_str(), X_OK) == 0;
 }
 
@@ -72,7 +73,7 @@ std::vector<pid_t> agent_children_of(pid_t parent) {
 pid_t spawn_campaign(const std::string& out_path,
                      const std::string& results_dir,
                      const std::string& base_port) {
-  const std::string campaign = bin("cluster_campaign");
+  const std::string campaign = bin("scenario_campaign");
   const std::string node = bin("dpu_node");
   const pid_t pid = ::fork();
   if (pid == 0) {

@@ -81,7 +81,7 @@ struct ReplRig {
                  const ModuleParams& params = ModuleParams()) {
     world.at_node(t, node, [this, node, protocol, params]() {
       if (world.crashed(node)) return;
-      repl[node]->change_abcast(protocol, params);
+      repl[node]->request_update(protocol, params);
     });
   }
 

@@ -170,7 +170,7 @@ TEST(Gm, KeepsWorkingDuringAbcastReplacement) {
                       });
   }
   rig.world.at_node(500 * kMillisecond, 2, [&]() {
-    rig.stacks[2].repl->change_abcast("abcast.seq");
+    rig.stacks[2].repl->request_update("abcast.seq", {});
   });
   rig.world.run_for(20 * kSecond);
 
@@ -229,7 +229,7 @@ TEST(KvStore, ConsistentAcrossProtocolSwitch) {
                       });
   }
   rig.world.at_node(600 * kMillisecond, 1, [&]() {
-    rig.stacks[1].repl->change_abcast("abcast.token");
+    rig.stacks[1].repl->request_update("abcast.token", {});
   });
   rig.world.run_for(30 * kSecond);
 

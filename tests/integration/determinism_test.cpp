@@ -62,7 +62,7 @@ RunResult run_world(std::uint64_t seed) {
     });
   }
   world.at_node(700 * kMillisecond, 1, [&]() {
-    stacks[1].repl->change_abcast("abcast.seq");
+    stacks[1].repl->request_update("abcast.seq", {});
   });
   world.at_node(1200 * kMillisecond, 2, [&]() {
     stacks[2].gm->gm_leave(0);

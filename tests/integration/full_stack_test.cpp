@@ -77,7 +77,7 @@ TEST(FullStack, EverythingAtOnceStaysConsistent) {
   rig.world.at_node(400 * kMillisecond, 0,
                     [&]() { rig.stacks[0].gm->gm_leave(4); });
   rig.world.at_node(500 * kMillisecond, 2, [&]() {
-    rig.stacks[2].repl->change_abcast("abcast.seq");
+    rig.stacks[2].repl->request_update("abcast.seq", {});
   });
   rig.world.at(700 * kMillisecond, [&]() { rig.world.crash(4); });
   rig.world.at_node(900 * kMillisecond, 1,
@@ -172,7 +172,7 @@ TEST(FullStack, RepeatedSwitchStressUnderContinuousLoad) {
     rig.world.at_node((500 + s * 700) * kMillisecond,
                       static_cast<NodeId>(s % 3), [&rig, s, &cycle]() {
                         rig.stacks[static_cast<std::size_t>(s % 3)]
-                            .repl->change_abcast(cycle[s % 3]);
+                            .repl->request_update(cycle[s % 3], {});
                       });
   }
   for (NodeId i = 0; i < 3; ++i) {
@@ -199,7 +199,7 @@ TEST(FullStack, RetirementBoundsModuleCountUnderRepeatedSwitches) {
   Rig rig(SimConfig{.num_stacks = 3, .seed = 4}, options);
   for (int s = 0; s < 6; ++s) {
     rig.world.at_node((500 + s * 2000) * kMillisecond, 0, [&rig]() {
-      rig.stacks[0].repl->change_abcast("abcast.ct");
+      rig.stacks[0].repl->request_update("abcast.ct", {});
     });
   }
   for (NodeId i = 0; i < 3; ++i) {
@@ -231,7 +231,7 @@ TEST(FullStack, MixedSizesSweep) {
       }
     }
     rig.world.at_node(250 * kMillisecond, 0, [&rig]() {
-      rig.stacks[0].repl->change_abcast("abcast.seq");
+      rig.stacks[0].repl->request_update("abcast.seq", {});
     });
     rig.world.run_for(30 * kSecond);
     auto report = rig.audit.check(n);

@@ -54,9 +54,9 @@ struct BaselineRig {
   void switch_at(TimePoint t, NodeId node, const std::string& protocol) {
     world.at_node(t, node, [this, node, protocol]() {
       if (kind == BaselineKind::kMaestro) {
-        maestro[node]->change_stack(protocol);
+        maestro[node]->request_update(protocol, {});
       } else {
-        graceful[node]->change_adaptation(protocol);
+        graceful[node]->request_update(protocol, {});
       }
     });
   }
@@ -209,9 +209,9 @@ TEST(GracefulBaseline, RejectsProtocolNeedingUnboundService) {
     world.stack(i).start_all();
   }
   world.run_for(100 * kMillisecond);
-  EXPECT_THROW(graceful[0]->change_adaptation("abcast.ct"), std::logic_error);
+  EXPECT_THROW(graceful[0]->request_update("abcast.ct", {}), std::logic_error);
   // ...while a same-requirements target is fine.
-  EXPECT_NO_THROW(graceful[0]->change_adaptation("abcast.token"));
+  EXPECT_NO_THROW(graceful[0]->request_update("abcast.token", {}));
   world.run_for(10 * kSecond);
   EXPECT_EQ(graceful[1]->switches_completed(), 1u);
 }
@@ -220,8 +220,8 @@ TEST(GracefulBaseline, ConcurrentSwitchRejectedLocally) {
   BaselineRig rig(SimConfig{.num_stacks = 3, .seed = 8},
                   BaselineKind::kGraceful);
   rig.world.at_node(10 * kMillisecond, 0, [&]() {
-    rig.graceful[0]->change_adaptation("abcast.seq");
-    EXPECT_THROW(rig.graceful[0]->change_adaptation("abcast.token"),
+    rig.graceful[0]->request_update("abcast.seq", {});
+    EXPECT_THROW(rig.graceful[0]->request_update("abcast.token", {}),
                  std::logic_error);
   });
   rig.world.run_for(20 * kSecond);

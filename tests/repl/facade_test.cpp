@@ -170,7 +170,8 @@ TEST(FacadeExtraction, ReplAbcastTraceMarkersUnchanged) {
 TEST(FacadeExtraction, UnknownProtocolStillThrowsBeforeAnyTraffic) {
   ReplRig rig(SimConfig{.num_stacks = 3, .seed = 12});
   rig.world.run_for(100 * kMillisecond);
-  EXPECT_THROW(rig.repl[0]->change_abcast("abcast.nope"), std::logic_error);
+  EXPECT_THROW(rig.repl[0]->request_update("abcast.nope", {}),
+               std::logic_error);
   EXPECT_EQ(rig.repl[0]->seq_number(), 0u);
 }
 

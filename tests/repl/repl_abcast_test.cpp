@@ -268,7 +268,7 @@ TEST(ReplAbcast, RetireDestroysOldModuleAfterQuiescence) {
 TEST(ReplAbcast, UnknownProtocolRejectedLocally) {
   ReplRig rig(SimConfig{.num_stacks = 3, .seed = 12});
   rig.world.run_for(10 * kMillisecond);
-  EXPECT_THROW(rig.repl[0]->change_abcast("abcast.nonexistent"),
+  EXPECT_THROW(rig.repl[0]->request_update("abcast.nonexistent", {}),
                std::logic_error);
   // The rejected request must not have poisoned the group.
   rig.send_at(rig.world.now() + kMillisecond, 1, "still-works");

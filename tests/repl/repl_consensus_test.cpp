@@ -93,7 +93,7 @@ TEST(ReplConsensus, SwitchCtToMrMidStream) {
     }
     if (k == 8) {
       rig.world.at_node(rig.world.now(), 0, [&]() {
-        rig.facade[0]->change_consensus("consensus.mr");
+        rig.facade[0]->request_update("consensus.mr", {});
       });
     }
     rig.world.run_for(150 * kMillisecond);
@@ -123,14 +123,14 @@ TEST(ReplConsensus, ChainedSwitchesCtMrCt) {
     }
     if (k == 8) {
       rig.world.at_node(rig.world.now(), 1, [&]() {
-        rig.facade[1]->change_consensus("consensus.mr");
+        rig.facade[1]->request_update("consensus.mr", {});
       });
     }
     rig.world.run_for(200 * kMillisecond);
     if (k == 20) {
       // Second switch only after the first completed on the stream.
       rig.world.at_node(rig.world.now(), 2, [&]() {
-        rig.facade[2]->change_consensus("consensus.ct");
+        rig.facade[2]->request_update("consensus.ct", {});
       });
     }
   }
@@ -155,7 +155,7 @@ TEST(ReplConsensus, IdleStreamMigratesLazilyOnNextProposal) {
   rig.world.run_for(kSecond);
   // Switch while the stream is idle.
   rig.world.at_node(rig.world.now(), 0, [&]() {
-    rig.facade[0]->change_consensus("consensus.mr");
+    rig.facade[0]->request_update("consensus.mr", {});
   });
   rig.world.run_for(kSecond);
   EXPECT_EQ(rig.facade[1]->stream_version(1), 0u);  // not yet migrated
@@ -176,7 +176,7 @@ TEST(ReplConsensus, IdleStreamMigratesLazilyOnNextProposal) {
 TEST(ReplConsensus, UnknownProtocolRejected) {
   Rig rig(SimConfig{.num_stacks = 3, .seed = 5});
   rig.world.run_for(10 * kMillisecond);
-  EXPECT_THROW(rig.facade[0]->change_consensus("consensus.bogus"),
+  EXPECT_THROW(rig.facade[0]->request_update("consensus.bogus", {}),
                std::logic_error);
 }
 
@@ -215,7 +215,7 @@ TEST(ReplConsensus, AbcastSurvivesConsensusSwitchUnderLoad) {
     }
   }
   world.at_node(700 * kMillisecond, 1, [&]() {
-    facade[1]->change_consensus("consensus.mr");
+    facade[1]->request_update("consensus.mr", {});
   });
   world.run_for(60 * kSecond);
 

@@ -102,7 +102,7 @@ TEST(ReplGm, HotSwapPreservesMembershipAndViewConsistency) {
 TEST(ReplGm, OpsKeepFlowingThroughTheNewVersion) {
   GmRig rig(3, 33);
   rig.world->at_node(500 * kMillisecond, 0, [&]() {
-    rig.gm(0).change_gm("gm.abcast");
+    rig.gm(0).request_update("gm.abcast", {});
   });
   rig.world->at_node(2 * kSecond, 1, [&]() { rig.gm(1).gm_leave(2); });
   rig.world->at_node(3 * kSecond, 0, [&]() { rig.gm(0).gm_join(2); });

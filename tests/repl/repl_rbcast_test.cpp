@@ -116,7 +116,7 @@ TEST(ReplRbcast, HotSwapUnderLoadDeliversExactlyOnce) {
 TEST(ReplRbcast, ChannelsBoundAfterSwitchStillWork) {
   RbcastRig rig(3, 23);
   rig.world.at_node(200 * kMillisecond, 1, [&]() {
-    rig.facades[1]->change_rbcast("rbcast.norelay");
+    rig.facades[1]->request_update("rbcast.norelay", {});
   });
   // A channel bound only after the switch completed (on every version that
   // is still alive) must receive traffic sent through the new version.
@@ -141,10 +141,10 @@ TEST(ReplRbcast, ConcurrentChangesCollapseToOneSwitch) {
   // performs the first change it receives and drops the second (stale sn) —
   // the documented one-switch-at-a-time discipline.
   rig.world.at_node(500 * kMillisecond, 0, [&]() {
-    rig.facades[0]->change_rbcast("rbcast.norelay");
+    rig.facades[0]->request_update("rbcast.norelay", {});
   });
   rig.world.at_node(500 * kMillisecond, 1, [&]() {
-    rig.facades[1]->change_rbcast("rbcast.norelay");
+    rig.facades[1]->request_update("rbcast.norelay", {});
   });
   rig.world.run_for(10 * kSecond);
   std::uint64_t dropped = 0;

@@ -110,7 +110,9 @@ TEST(RtWorld, ProtocolSwitchOnRealThreads) {
   });
 
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  rig.world.call_on(0, [&]() { rig.stacks[0].repl->change_abcast("abcast.seq"); });
+  rig.world.call_on(0, [&]() {
+    rig.stacks[0].repl->request_update("abcast.seq", {});
+  });
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   stop_load.store(true);
   loader.join();

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "scenario/library.hpp"
 
@@ -337,6 +340,194 @@ TEST(ScenarioRunner, PolicyDrivesTheSwitchWithoutAScriptedUpdate) {
   for (const std::string& protocol : result.final_protocol) {
     EXPECT_EQ(protocol, "abcast.ct");
   }
+}
+
+// ---------------------------------------------------------------------------
+// distill_result from hand-built facts: no world, no engine.
+// ---------------------------------------------------------------------------
+
+/// Facts for an n-stack run where nothing happened.
+RunFacts quiet_facts(std::size_t n, const AbcastAudit* audit) {
+  RunFacts facts;
+  facts.recovery_time.assign(n, -1);
+  facts.counts.resize(n);
+  facts.pending_calls.assign(n, 0);
+  facts.audit = audit;
+  return facts;
+}
+
+TraceEvent queued_call(TimePoint t, NodeId node) {
+  return {t, node, TraceKind::kCallQueued, "abcast", "", ""};
+}
+
+TraceEvent custom_marker(TimePoint t, NodeId node, std::string detail) {
+  return {t, node, TraceKind::kCustom, "", "", std::move(detail)};
+}
+
+TEST(DistillResult, WellFormednessChecksOnlyTheCorrectStacksEvents) {
+  const ScenarioSpec spec = small_spec("distill-correct-events");
+  const AbcastAudit audit;
+  RunFacts facts = quiet_facts(spec.n, &audit);
+  facts.crashed = {2};
+  facts.recovery_time[1] = 500;
+  facts.trace = {queued_call(100, 2),   // crashed stack: excluded
+                 queued_call(100, 1),   // before stack 1 recovered: excluded
+                 queued_call(600, 1)};  // after the recovery: checked
+  ScenarioResult result;
+  distill_result(spec, std::move(facts), result);
+
+  EXPECT_EQ(result.crashed, (std::set<NodeId>{2}));
+  EXPECT_EQ(result.recovered, (std::set<NodeId>{1}));
+  EXPECT_TRUE(result.abcast_report.ok);
+  EXPECT_EQ(result.generic_report.violations,
+            (std::vector<std::string>{
+                "stack 1: 1 call(s) on service 'abcast' still blocked at "
+                "end of run"}));
+  EXPECT_EQ(result.trace.size(), 3u);
+}
+
+TEST(DistillResult, OperationabilityIsSkippedUnderMechanismNone) {
+  // An instance bound on stack 0 but never created on stack 1.
+  const std::vector<TraceEvent> trace = {
+      {100, 0, TraceKind::kModuleCreated, "abcast", "abcast.seq@1", ""},
+      {100, 0, TraceKind::kServiceBound, "abcast", "abcast.seq@1", ""}};
+  const AbcastAudit audit;
+
+  ScenarioSpec spec = small_spec("distill-operationability");
+  RunFacts facts = quiet_facts(spec.n, &audit);
+  facts.trace = trace;
+  ScenarioResult checked;
+  distill_result(spec, std::move(facts), checked);
+  EXPECT_EQ(checked.generic_report.violations.size(), 2u);  // stacks 1, 2
+
+  spec.mechanism = Mechanism::kNone;
+  facts = quiet_facts(spec.n, &audit);
+  facts.trace = trace;
+  ScenarioResult skipped;
+  distill_result(spec, std::move(facts), skipped);
+  EXPECT_TRUE(skipped.generic_report.ok);
+}
+
+TEST(DistillResult, BoundAndPendingCallsFailWithTheRunnerMessages) {
+  ScenarioSpec spec = small_spec("distill-messages");
+  spec.max_retransmissions = 10;
+  const AbcastAudit audit;
+  RunFacts facts = quiet_facts(spec.n, &audit);
+  facts.crashed = {2};
+  facts.counts[0].retransmissions = 7;
+  facts.counts[2].retransmissions = 5;  // a crashed stack's count still adds
+  facts.pending_calls = {0, 3, 4};      // the crashed stack's 4 are excused
+  ScenarioResult result;
+  distill_result(spec, std::move(facts), result);
+
+  EXPECT_EQ(result.retransmissions, 12u);
+  EXPECT_EQ(result.generic_report.violations,
+            (std::vector<std::string>{
+                "retransmissions 12 exceed the spec bound 10",
+                "stack 1: 3 service call(s) still pending at end of run"}));
+}
+
+TEST(DistillResult, FoldsCountersAndTheLiveDedupGauge) {
+  const ScenarioSpec spec = small_spec("distill-fold");
+  const AbcastAudit audit;
+  RunFacts facts = quiet_facts(spec.n, &audit);
+  facts.crashed = {2};
+  for (NodeId i = 0; i < spec.n; ++i) {
+    facts.counts[i].sent = 10 * (i + 1);
+    facts.counts[i].deliveries = 100;
+    facts.counts[i].app_blocked = 5;
+    facts.counts[i].dedup_entries = 7;
+  }
+  facts.counts[1].dedup_entries.reset();  // no rbcast facade on stack 1
+  ScenarioResult result;
+  distill_result(spec, std::move(facts), result);
+
+  EXPECT_EQ(result.messages_sent, 60u);
+  EXPECT_EQ(result.deliveries, 300u);
+  EXPECT_EQ(result.app_blocked_total, 15);
+  EXPECT_EQ(result.dedup_entries, 7u);  // stack 0 only: 2 is crashed
+}
+
+TEST(DistillResult, SwitchWindowsAreTheUpdatesProjected) {
+  const ScenarioSpec spec = small_spec("distill-windows");
+  const AbcastAudit audit;
+  RunFacts facts = quiet_facts(spec.n, &audit);
+  facts.trace = {custom_marker(100, 0, "update-requested:abcast:abcast.seq"),
+                 custom_marker(150, 0, "update-done:abcast:abcast.seq:v=1"),
+                 custom_marker(180, 1, "update-done:abcast:abcast.seq:v=1"),
+                 custom_marker(300, 1, "update-requested:abcast:abcast.ct"),
+                 custom_marker(320, 1, "update-done:abcast:abcast.ct:v=2")};
+  ScenarioResult result;
+  distill_result(spec, std::move(facts), result);
+
+  ASSERT_EQ(result.updates.size(), 2u);
+  EXPECT_EQ(result.updates[0].protocol, "abcast.seq");
+  EXPECT_EQ(result.updates[0].completions, 2u);
+  std::vector<std::pair<TimePoint, TimePoint>> projected;
+  for (const UpdateOutcome& o : result.updates) {
+    projected.emplace_back(o.requested, o.converged);
+  }
+  EXPECT_EQ(result.switch_windows, projected);
+  EXPECT_EQ(result.switch_windows[0],
+            (std::pair<TimePoint, TimePoint>{100, 180}));
+}
+
+TEST(DistillResult, AuditVerdictComesFromTheFacts) {
+  const ScenarioSpec spec = small_spec("distill-audit");
+  AbcastAudit audit;
+  audit.record_sent(0, to_bytes("lost"));  // never delivered: validity
+  ScenarioResult result;
+  distill_result(spec, quiet_facts(spec.n, &audit), result);
+  EXPECT_FALSE(result.abcast_report.ok);
+  EXPECT_TRUE(result.generic_report.ok);
+}
+
+TEST(DistillResult, WithoutAnAuditOnlyTheBoundIsChecked) {
+  // RunOptions::with_audit == false: no §5.1 audit, no §3 checks and no
+  // pending-call check — but the counters and the bound still apply.
+  ScenarioSpec spec = small_spec("distill-unaudited");
+  spec.max_retransmissions = 1;
+  RunFacts facts = quiet_facts(spec.n, nullptr);
+  facts.counts[0].retransmissions = 2;
+  facts.pending_calls = {1, 1, 1};
+  facts.trace = {queued_call(100, 0),
+                 {100, 0, TraceKind::kServiceBound, "abcast", "x@1", ""}};
+  ScenarioResult result;
+  distill_result(spec, std::move(facts), result);
+
+  EXPECT_TRUE(result.abcast_report.ok);
+  EXPECT_EQ(result.generic_report.violations,
+            (std::vector<std::string>{
+                "retransmissions 2 exceed the spec bound 1"}));
+}
+
+TEST(NodeAccum, JsonKeepsTheAgentKeysAndRoundTrips) {
+  NodeAccum acc;
+  acc.sent = 1;
+  acc.deliveries = 2;
+  acc.reissued = 3;
+  acc.stale_discarded = 4;
+  acc.decisions_delivered = 5;
+  acc.snapshots_served = 6;
+  acc.state_replayed = 7;
+  acc.app_blocked = 8;
+  acc.calls_queued = 9;
+  acc.retransmissions = 10;
+  acc.acks_sent = 11;
+  const Json counts = acc.to_json();
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : counts.members()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "sent", "delivered", "reissued", "stale_discarded",
+                      "decisions_delivered", "snapshots_served",
+                      "state_replayed", "app_blocked_ns", "calls_queued",
+                      "retransmissions", "acks_sent"}));
+
+  acc.dedup_entries = 12;
+  const NodeAccum back = NodeAccum::from_json(acc.to_json());
+  EXPECT_EQ(back.to_json().dump(), acc.to_json().dump());
+  EXPECT_EQ(back.dedup_entries, std::optional<std::uint64_t>{12});
+  EXPECT_FALSE(NodeAccum::from_json(Json::object()).dedup_entries);
 }
 
 }  // namespace
