@@ -127,7 +127,12 @@ FloodResult run_flood(const FloodSpec& spec, std::uint64_t seed) {
 
   std::vector<RbcastModule*> rbcast;
   std::vector<Rp2pModule*> rp2p;
-  std::uint64_t deliveries = 0;
+  // One counter per node: with shards > 1 the stacks' handlers run on
+  // different threads.  Cache-line sized so they share no line.
+  struct alignas(64) Counter {
+    std::uint64_t n = 0;
+  };
+  std::vector<Counter> deliveries(spec.n);
   for (NodeId i = 0; i < spec.n; ++i) {
     Stack& stack = world.stack(i);
     UdpModule::create(stack);
@@ -139,7 +144,7 @@ FloodResult run_flood(const FloodSpec& spec, std::uint64_t seed) {
     FdModule::create(stack);
     rbcast.back()->rbcast_bind_channel(
         kBenchChannel,
-        [&deliveries](NodeId, const auto&) { ++deliveries; });
+        [count = &deliveries[i].n](NodeId, const auto&) { ++*count; });
     stack.start_all();
   }
 
@@ -198,7 +203,7 @@ FloodResult run_flood(const FloodSpec& spec, std::uint64_t seed) {
   result.deferrals = world.deferrals();
   result.packets_sent = world.packets_sent();
   result.packets_dropped = world.packets_dropped();
-  result.deliveries = deliveries;
+  for (const Counter& c : deliveries) result.deliveries += c.n;
   result.window_barriers = world.window_barriers();
   result.merge_batches = world.merge_batches();
   result.window_stalls = world.window_stalls();

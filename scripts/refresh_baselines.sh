@@ -7,8 +7,9 @@
 # Rebuilds the Release tools, re-runs the curated campaign and the engine
 # throughput bench (including the --curve sweep), rewrites
 # ci/campaign_baseline.json and ci/bench_engine_baseline.json, and prints a
-# diff of the deterministic counters so the "why did the numbers move"
-# paragraph of the commit message writes itself.  See ci/README.md for the
+# diff of the deterministic counters plus the CI gates' report of every run
+# that left its tolerance band, so the "why did the numbers move" paragraph
+# of the commit message writes itself.  See ci/README.md for the
 # policy: never refresh to paper over an unexplained regression.
 set -euo pipefail
 
@@ -57,6 +58,19 @@ for name in campaign_baseline bench_engine_baseline; do
              <(strip_wallclock "${tmp}/${name}.json"); then
     echo "   (no counter change)"
   fi
+done
+
+# Band report before the overwrite: the CI gates run on the new results
+# against the old baselines.  Informational here (never fails the refresh);
+# every run they name left its tolerance band, and that list is what the
+# commit message must explain.
+echo "== band report: perf_gate campaign (new results vs ci/campaign_baseline.json) =="
+"${BUILD_DIR}/perf_gate" campaign --baseline ci/campaign_baseline.json \
+  --current "${tmp}/campaign-results.json" || true
+for gate in engine curve; do
+  echo "== band report: perf_gate ${gate} (new results vs ci/bench_engine_baseline.json) =="
+  "${BUILD_DIR}/perf_gate" "${gate}" --baseline ci/bench_engine_baseline.json \
+    --current "${tmp}/bench_engine_baseline.json" || true
 done
 
 mv "${tmp}/campaign_baseline.json" ci/campaign_baseline.json

@@ -40,6 +40,7 @@ CtAbcastModule::CtAbcastModule(Stack& stack, std::string instance_name,
 
 void CtAbcastModule::start() {
   next_local_seq_ = incarnation_seq_base(env().incarnation()) + 1;
+  delivered_.reset(env().world_size());
   rbcast_.call([this](RbcastApi& rbcast) {
     rbcast.rbcast_bind_channel(data_channel_,
                                [this](NodeId origin, const Payload& data) {
@@ -98,7 +99,7 @@ void CtAbcastModule::on_data(NodeId /*origin*/, const Payload& data) {
                                 << " malformed data: " << e.what();
     return;
   }
-  if (delivered_.count(id) != 0) return;  // already settled by a decision
+  if (delivered_.seen(id)) return;  // already settled by a decision
   pending_.emplace(id, std::move(payload));
   try_start_instance();
 }
@@ -148,24 +149,28 @@ void CtAbcastModule::on_decision(InstanceId instance, const Bytes& batch) {
 }
 
 void CtAbcastModule::apply_batch(const Bytes& batch) {
+  // The messages new at this node, in decided order, go up in one upcall.
+  std::vector<std::pair<NodeId, Bytes>> fresh;
   try {
     BufReader r(batch);
     const std::uint64_t count = r.get_varint();
     for (std::uint64_t i = 0; i < count; ++i) {
       const MsgId id = MsgId::decode(r);
       Bytes payload = r.get_blob();
-      if (!delivered_.insert(id).second) continue;  // integrity: once only
+      if (!delivered_.mark_seen(id)) continue;  // integrity: once only
       pending_.erase(id);
       ++deliveries_;
-      up_.notify([&](AbcastListener& l) { l.adeliver(id.origin, payload); });
+      fresh.emplace_back(id.origin, std::move(payload));
     }
     r.expect_done();
   } catch (const CodecError& e) {
     // A malformed decided batch would be a bug in a proposer, not the
-    // network (consensus ships it reliably); surface loudly.
+    // network (consensus ships it reliably); surface loudly.  The decoded
+    // prefix still delivers.
     DPU_LOG(kError, "ct-abcast") << "s" << env().node_id()
                                  << " malformed decided batch: " << e.what();
   }
+  adeliver_run(up_, fresh);
 }
 
 }  // namespace dpu

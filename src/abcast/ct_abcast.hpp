@@ -23,12 +23,12 @@
 #pragma once
 
 #include <map>
-#include <unordered_set>
 
 #include "consensus/consensus.hpp"
 #include "abcast/abcast.hpp"
 #include "core/module.hpp"
 #include "core/stack.hpp"
+#include "net/msg_dedup.hpp"
 #include "net/services.hpp"
 
 namespace dpu {
@@ -70,6 +70,11 @@ class CtAbcastModule final : public Module, public AbcastApi {
   [[nodiscard]] std::uint64_t deliveries() const { return deliveries_; }
   [[nodiscard]] std::uint64_t instances_settled() const { return next_apply_ - 1; }
   [[nodiscard]] std::size_t pending_count() const { return pending_.size(); }
+  /// Retained state of the delivered-id filter (ahead-runs; 0 while every
+  /// origin's messages settle in id order).
+  [[nodiscard]] std::size_t delivered_entries() const {
+    return delivered_.entries();
+  }
 
  private:
   void on_data(NodeId origin, const Payload& data);
@@ -87,7 +92,9 @@ class CtAbcastModule final : public Module, public AbcastApi {
   std::uint64_t next_local_seq_ = 1;  // re-based onto the incarnation
   InstanceId last_sync_requested_ = 0;  // gap catch-up dedup
   std::map<MsgId, Bytes> pending_;  // ordered => canonical batch order
-  std::unordered_set<MsgId, MsgIdHash> delivered_;
+  /// Ids already delivered (integrity: once only).  Ids are contiguous per
+  /// origin from the incarnation base, so this stays O(1) in steady state.
+  MsgDedup delivered_;
   InstanceId next_apply_ = 1;        // next decision to apply
   bool proposed_current_ = false;    // proposed instance next_apply_ already
   std::map<InstanceId, Bytes> decision_buffer_;

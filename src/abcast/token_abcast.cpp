@@ -152,14 +152,14 @@ void TokenAbcastModule::on_ordered(NodeId /*origin*/, const Payload& data) {
   }
   if (gseq < next_deliver_) return;
   reorder_.emplace(gseq, std::make_pair(sender, std::move(payload)));
+  // The contiguous run this message completes goes up in one upcall.
+  std::vector<std::pair<NodeId, Bytes>> run;
   while (!reorder_.empty() && reorder_.begin()->first == next_deliver_) {
-    auto node = reorder_.extract(reorder_.begin());
+    run.push_back(std::move(reorder_.extract(reorder_.begin()).mapped()));
     ++next_deliver_;
     ++deliveries_;
-    up_.notify([&](AbcastListener& l) {
-      l.adeliver(node.mapped().first, node.mapped().second);
-    });
   }
+  adeliver_run(up_, run);
 }
 
 }  // namespace dpu

@@ -14,8 +14,7 @@
 // hard-wired behaviour — switch a non-fault-tolerant ABcast protocol to a
 // fallback when the failure detector suspects its critical node — is now the
 // one-rule special case `PolicyRule{.trigger = kFdSuspect, ...}` driving the
-// service-generic control plane instead of the legacy `change_abcast` entry
-// point.
+// service-generic control plane.
 //
 // Practical notes inherited from the paper's design:
 //  * Algorithm 1 coordinates a switch *through the protocol being

@@ -169,6 +169,15 @@ void ConsensusBase::send_peer(NodeId dst, Payload data) {
   });
 }
 
+void ConsensusBase::send_all(Payload data) {
+  const auto n = static_cast<NodeId>(env().world_size());
+  rp2p_.call([this, n, data = std::move(data)](Rp2pApi& rp2p) {
+    for (NodeId dst = 0; dst < n; ++dst) {
+      rp2p.rp2p_send(dst, peer_channel_, data);
+    }
+  });
+}
+
 void ConsensusBase::maybe_catch_up_straggler(NodeId from, const Key& key) {
   if (from == env().node_id()) return;
   auto it = max_decided_.find(key.stream);

@@ -141,6 +141,9 @@ class ConsensusBase : public Module, public ConsensusApi {
   /// Sends an algorithm message to one stack (self included; self-sends go
   /// through the same transport path).
   void send_peer(NodeId dst, Payload data);
+  /// Sends one algorithm message to every stack, self included, in one rp2p
+  /// service crossing; all destinations share the one buffer.
+  void send_all(Payload data);
 
   ServiceRef<Rp2pApi> rp2p_;
   ServiceRef<RbcastApi> rbcast_;

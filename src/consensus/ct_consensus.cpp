@@ -49,9 +49,9 @@ void CtConsensusModule::stop() {
 //              [varint ts] [blob value]   (fields by type)
 // ---------------------------------------------------------------------------
 
-void CtConsensusModule::send_typed(NodeId dst, MsgType type, const Key& key,
-                                   std::uint64_t round, std::uint64_t ts,
-                                   const Bytes* value) {
+Payload CtConsensusModule::encode_typed(MsgType type, const Key& key,
+                                       std::uint64_t round, std::uint64_t ts,
+                                       const Bytes* value) {
   BufWriter w((value != nullptr ? value->size() : 0) + 32);
   w.put_u8(type);
   w.put_varint(key.stream);
@@ -62,7 +62,7 @@ void CtConsensusModule::send_typed(NodeId dst, MsgType type, const Key& key,
     assert(value != nullptr);
     w.put_blob(*value);
   }
-  send_peer(dst, w.take_payload());
+  return w.take_payload();
 }
 
 void CtConsensusModule::on_peer_message(NodeId from,
@@ -147,7 +147,7 @@ void CtConsensusModule::enter_round(const Key& key, Inst& s) {
   const NodeId c = coord_of(s.round);
   const bool skip_phase1 = s.round == 0 && config_.skip_phase1_round0;
   if (!skip_phase1 && s.has_estimate) {
-    send_typed(c, kEstimate, key, s.round, s.ts, &s.estimate);
+    send_peer(c, encode_typed(kEstimate, key, s.round, s.ts, &s.estimate));
   }
   if (c == env().node_id()) maybe_coordinate(key, s, s.round);
 
@@ -199,13 +199,14 @@ void CtConsensusModule::handle_proposal(const Key& key, std::uint64_t round,
   s.has_estimate = true;
   s.ts = round;
   s.awaiting_proposal = false;
-  send_typed(coord_of(round), kAck, key, round, 0, nullptr);
+  send_peer(coord_of(round), encode_typed(kAck, key, round, 0, nullptr));
   // Stay in this round awaiting DECIDE / ABORT / suspicion / timeout.
 }
 
 void CtConsensusModule::on_coordinator_unreachable(const Key& key, Inst& s) {
   if (s.awaiting_proposal) {
-    send_typed(coord_of(s.round), kNack, key, s.round, 0, nullptr);
+    send_peer(coord_of(s.round),
+              encode_typed(kNack, key, s.round, 0, nullptr));
     s.awaiting_proposal = false;
   }
   cancel_round_timer(s);
@@ -297,9 +298,7 @@ void CtConsensusModule::maybe_coordinate(const Key& key, Inst& s,
     cr.proposal = best->second;
   }
   cr.proposed = true;
-  for (NodeId dst = 0; dst < env().world_size(); ++dst) {
-    send_typed(dst, kPropose, key, round, 0, &cr.proposal);
-  }
+  send_all(encode_typed(kPropose, key, round, 0, &cr.proposal));
 }
 
 void CtConsensusModule::handle_reply(NodeId from, const Key& key,
@@ -323,9 +322,7 @@ void CtConsensusModule::handle_reply(NodeId from, const Key& key,
     // participants (see header: liveness addition to the textbook protocol).
     cr.closed = true;
     ++rounds_aborted_;
-    for (NodeId dst = 0; dst < env().world_size(); ++dst) {
-      send_typed(dst, kAbort, key, round, 0, nullptr);
-    }
+    send_all(encode_typed(kAbort, key, round, 0, nullptr));
   }
 }
 

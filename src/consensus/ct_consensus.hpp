@@ -124,8 +124,10 @@ class CtConsensusModule final : public ConsensusBase, public FdListener {
   void arm_round_timer(const Key& key, Inst& s);
   void cancel_round_timer(Inst& s);
 
-  void send_typed(NodeId dst, MsgType type, const Key& key,
-                  std::uint64_t round, std::uint64_t ts, const Bytes* value);
+  [[nodiscard]] static Payload encode_typed(MsgType type, const Key& key,
+                                            std::uint64_t round,
+                                            std::uint64_t ts,
+                                            const Bytes* value);
 
   Config config_;
   std::map<Key, Inst> instances_;

@@ -46,9 +46,9 @@ void MrConsensusModule::stop() {
 
 // Wire: u8 type | varint stream | varint instance | varint round |
 //       u8 has_value [blob value]
-void MrConsensusModule::send_typed(NodeId dst, MsgType type, const Key& key,
-                                   std::uint64_t round,
-                                   const std::optional<Bytes>& value) {
+void MrConsensusModule::broadcast_typed(MsgType type, const Key& key,
+                                        std::uint64_t round,
+                                        const std::optional<Bytes>& value) {
   BufWriter w((value ? value->size() : 0) + 32);
   w.put_u8(type);
   w.put_varint(key.stream);
@@ -56,7 +56,7 @@ void MrConsensusModule::send_typed(NodeId dst, MsgType type, const Key& key,
   w.put_varint(round);
   w.put_bool(value.has_value());
   if (value) w.put_blob(*value);
-  send_peer(dst, w.take_payload());
+  send_all(w.take_payload());
 }
 
 void MrConsensusModule::on_peer_message(NodeId from,
@@ -138,9 +138,7 @@ void MrConsensusModule::maybe_send_est(const Key& key, Inst& s) {
   RoundState& rs = s.rounds[s.round];
   if (rs.est_sent) return;
   rs.est_sent = true;
-  for (NodeId dst = 0; dst < env().world_size(); ++dst) {
-    send_typed(dst, kEst, key, s.round, s.estimate);
-  }
+  broadcast_typed(kEst, key, s.round, s.estimate);
 }
 
 void MrConsensusModule::cast_vote(const Key& key, Inst& s,
@@ -148,9 +146,7 @@ void MrConsensusModule::cast_vote(const Key& key, Inst& s,
   RoundState& rs = s.rounds[s.round];
   if (rs.voted) return;
   rs.voted = true;
-  for (NodeId dst = 0; dst < env().world_size(); ++dst) {
-    send_typed(dst, kVote, key, s.round, value);
-  }
+  broadcast_typed(kVote, key, s.round, value);
 }
 
 void MrConsensusModule::handle_est(const Key& key, std::uint64_t round,

@@ -107,8 +107,9 @@ class MrConsensusModule final : public ConsensusBase, public FdListener {
   void arm_round_timer(const Key& key, Inst& s);
   void cancel_round_timer(Inst& s);
 
-  void send_typed(NodeId dst, MsgType type, const Key& key,
-                  std::uint64_t round, const std::optional<Bytes>& value);
+  /// Sends one algorithm message to every stack (one rp2p crossing).
+  void broadcast_typed(MsgType type, const Key& key, std::uint64_t round,
+                       const std::optional<Bytes>& value);
 
   Config config_;
   std::map<Key, Inst> instances_;

@@ -83,13 +83,14 @@ void FdModule::on_heartbeat(NodeId src, const Payload& data) {
 
 void FdModule::on_tick() {
   const NodeId self = env().node_id();
-  // Broadcast a heartbeat to all peers.  Captured by value: if udp is
-  // momentarily unbound the closure is queued past this scope (a Payload
-  // copy is a refcount bump, and an empty one is free).
-  const Payload empty;
-  for (NodeId dst = 0; dst < peers_.size(); ++dst) {
-    if (dst == self) continue;
-    udp_.call([dst, empty](UdpApi& udp) { udp.udp_send(dst, kFdPort, empty); });
+  // Broadcast a heartbeat to all peers, in one udp service crossing.
+  const auto n = static_cast<NodeId>(peers_.size());
+  if (n > 1) {
+    udp_.call([self, n](UdpApi& udp) {
+      for (NodeId dst = 0; dst < n; ++dst) {
+        if (dst != self) udp.udp_send(dst, kFdPort, Payload{});
+      }
+    });
   }
   // Check for silent peers.
   const TimePoint now = env().now();

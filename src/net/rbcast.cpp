@@ -47,7 +47,7 @@ RbcastModule::RbcastModule(Stack& stack, std::string instance_name,
 
 void RbcastModule::start() {
   next_seq_ = incarnation_seq_base(env().incarnation()) + 1;
-  seen_.assign(env().world_size(), OriginDedup{});
+  seen_.reset(env().world_size());
   rp2p_.call([this](Rp2pApi& rp2p) {
     rp2p.rp2p_bind_channel(config_.rp2p_channel,
                            [this](NodeId from, const Payload& data) {
@@ -70,15 +70,16 @@ void RbcastModule::rbcast(ChannelId channel, Payload payload) {
   id.encode(w);
   w.put_u64(channel);
   w.put_blob(payload);
-  // Serialize once; all N destinations (and any later relays) share this
-  // one immutable buffer.
-  const Payload wire = w.take_payload();
   ++sent_;
   // Send to everyone, self included: self-delivery takes the same code path
-  // (and the same latency/cost accounting) as remote delivery.
-  for (NodeId dst = 0; dst < env().world_size(); ++dst) {
-    send_to(dst, wire);
-  }
+  // (and the same latency/cost accounting) as remote delivery.  Serialized
+  // once; all N destinations (and any later relays) share this one
+  // immutable buffer, handed to rp2p in one service crossing.
+  const auto n = static_cast<NodeId>(env().world_size());
+  rp2p_.call([wire = w.take_payload(), n,
+              channel = config_.rp2p_channel](Rp2pApi& rp2p) {
+    for (NodeId dst = 0; dst < n; ++dst) rp2p.rp2p_send(dst, channel, wire);
+  });
 }
 
 void RbcastModule::rbcast_bind_channel(ChannelId channel,
@@ -99,12 +100,6 @@ void RbcastModule::rbcast_release_channel(ChannelId channel) {
   channels_.release(channel);
 }
 
-void RbcastModule::send_to(NodeId dst, const Payload& wire) {
-  rp2p_.call([dst, wire, channel = config_.rp2p_channel](Rp2pApi& rp2p) mutable {
-    rp2p.rp2p_send(dst, channel, std::move(wire));
-  });
-}
-
 void RbcastModule::on_message(NodeId from, const Payload& data) {
   MsgId id;
   ChannelId channel = 0;
@@ -121,55 +116,33 @@ void RbcastModule::on_message(NodeId from, const Payload& data) {
                              << e.what();
     return;
   }
-  if (!mark_seen(id)) return;  // duplicate (relay echo)
+  if (!seen_.mark_seen(id)) return;  // duplicate (relay echo)
 
   if (config_.relay && id.origin != env().node_id()) {
     // Relay on first receipt — unconditionally, not only when the message
     // came straight from the origin.  With chained crashes (origin crashes
     // mid-broadcast, then the stack it reached crashes mid-relay) a weaker
     // rule would let one stack deliver while another never hears of m.
-    // The relay shares the received buffer; no re-serialization.
+    // The relay shares the received buffer (no re-serialization) and goes
+    // to all other stacks in one rp2p crossing.
     ++relays_;
-    for (NodeId dst = 0; dst < env().world_size(); ++dst) {
-      if (dst == env().node_id() || dst == id.origin || dst == from) continue;
-      send_to(dst, data);
+    const auto n = static_cast<NodeId>(env().world_size());
+    const NodeId self = env().node_id();
+    auto skip = [self, origin = id.origin, from](NodeId dst) {
+      return dst == self || dst == origin || dst == from;
+    };
+    bool any = false;
+    for (NodeId dst = 0; dst < n && !any; ++dst) any = !skip(dst);
+    if (any) {
+      rp2p_.call([data, n, skip,
+                  channel = config_.rp2p_channel](Rp2pApi& rp2p) {
+        for (NodeId dst = 0; dst < n; ++dst) {
+          if (!skip(dst)) rp2p.rp2p_send(dst, channel, data);
+        }
+      });
     }
   }
   deliver(channel, id.origin, payload);
-}
-
-bool RbcastModule::mark_seen(const MsgId& id) {
-  // Watermark update within one epoch's contiguous sequence range.
-  auto mark_seen_in_epoch = [](EpochDedup& d, std::uint64_t seq) {
-    if (seq < d.next) return false;
-    if (seq > d.next) return d.ahead.insert(seq).second;
-    ++d.next;
-    while (!d.ahead.empty() && *d.ahead.begin() == d.next) {
-      d.ahead.erase(d.ahead.begin());
-      ++d.next;
-    }
-    return true;
-  };
-  if (id.origin >= seen_.size()) return false;  // malformed origin
-  OriginDedup& d = seen_[id.origin];
-  const std::uint64_t epoch = seq_epoch(id.seq);
-  if (epoch == d.epoch) return mark_seen_in_epoch(d.cur, id.seq);
-  if (epoch > d.epoch) {
-    // The origin restarted: archive the old incarnation's watermark (late
-    // relays of its messages must still dedup and deliver) and open the new
-    // epoch's.
-    d.old_epochs.emplace(d.epoch, std::move(d.cur));
-    d.epoch = epoch;
-    d.cur = EpochDedup{(epoch << kIncarnationSeqShift) + 1, {}};
-    return mark_seen_in_epoch(d.cur, id.seq);
-  }
-  // A relay of an earlier incarnation's message, arriving after we already
-  // saw the new incarnation (or, on a freshly recovered stack, before we
-  // ever saw that epoch): dedup in that epoch's own watermark.
-  auto [it, inserted] = d.old_epochs.try_emplace(
-      epoch, EpochDedup{(epoch << kIncarnationSeqShift) + 1, {}});
-  (void)inserted;
-  return mark_seen_in_epoch(it->second, id.seq);
 }
 
 void RbcastModule::deliver(ChannelId channel, NodeId origin,

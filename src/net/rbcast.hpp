@@ -10,12 +10,11 @@
 #pragma once
 
 #include <deque>
-#include <map>
-#include <set>
 #include <unordered_map>
 
 #include "core/module.hpp"
 #include "core/stack.hpp"
+#include "net/msg_dedup.hpp"
 #include "net/services.hpp"
 
 namespace dpu {
@@ -71,37 +70,15 @@ class RbcastModule final : public Module, public RbcastApi {
  private:
   void on_message(NodeId from, const Payload& data);
   void deliver(ChannelId channel, NodeId origin, const Payload& payload);
-  void send_to(NodeId dst, const Payload& wire);
-
-  /// Duplicate suppression per origin.  Broadcast seqs from one origin are
-  /// contiguous from base+1 within one incarnation epoch (base = epoch <<
-  /// kIncarnationSeqShift), so the common case is a watermark bump — O(1),
-  /// no allocation, and bounded memory even over arbitrarily long runs (the
-  /// old per-message hash set grew forever).  `ahead` only holds seqs that
-  /// arrived past a gap, which rp2p's FIFO guarantee makes rare.
-  struct EpochDedup {
-    std::uint64_t next = 1;         ///< lowest seq not yet seen contiguously
-    std::set<std::uint64_t> ahead;  ///< seen seqs beyond `next`
-  };
-
-  /// Per-origin dedup across incarnations.  The current epoch's watermark
-  /// sits inline (hot path: one compare); watermarks of earlier epochs are
-  /// archived so late relays of a dead incarnation's messages still dedup
-  /// *and still deliver* — agreement must hold for a message delivered
-  /// somewhere even if its origin restarted before every stack saw it.
-  struct OriginDedup {
-    std::uint64_t epoch = 0;
-    EpochDedup cur;
-    std::map<std::uint64_t, EpochDedup> old_epochs;
-  };
-
-  /// Returns true on first receipt of (origin, seq).
-  [[nodiscard]] bool mark_seen(const MsgId& id);
 
   Config config_;
   ServiceRef<Rp2pApi> rp2p_;
   std::uint64_t next_seq_ = 1;  ///< re-based onto the incarnation in start()
-  std::vector<OriginDedup> seen_;  ///< indexed by origin
+  /// First-receipt filter over (origin, seq), across incarnations: late
+  /// relays of a dead incarnation's messages must still dedup *and still
+  /// deliver* — agreement holds for a message delivered somewhere even if
+  /// its origin restarted before every stack saw it.
+  MsgDedup seen_;
   /// Bound channels (reference-stable dispatch; see HandlerTable).
   HandlerTable<ChannelId, BroadcastHandler> channels_;
   std::unordered_map<ChannelId, std::deque<std::pair<NodeId, Payload>>>

@@ -1,7 +1,6 @@
 #include "repl/facade.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <stdexcept>
 
 #include "util/log.hpp"
@@ -24,90 +23,6 @@ ModuleParams decode_module_params(BufReader& r) {
     params.set(key, r.get_string());
   }
   return params;
-}
-
-// ---------------------------------------------------------------------------
-// CrossVersionDedup
-// ---------------------------------------------------------------------------
-
-void CrossVersionDedup::reset(std::size_t world) {
-  origins_.assign(world, Origin{});
-}
-
-bool CrossVersionDedup::mark_seen(const MsgId& id) {
-  auto mark_in_window = [](EpochWindow& w, std::uint64_t seq) {
-    if (seq < w.next) return false;
-    if (seq == w.next) {
-      ++w.next;
-      // Absorb an ahead-run now contiguous with the watermark.
-      auto run = w.ahead.begin();
-      if (run != w.ahead.end() && run->first == w.next) {
-        w.next = run->second;
-        w.ahead.erase(run);
-      }
-      return true;
-    }
-    // seq beyond the watermark: place it in the [start, end) runs, coalescing
-    // with a neighbouring run on either side.
-    auto after = w.ahead.upper_bound(seq);  // first run starting past seq
-    if (after != w.ahead.begin()) {
-      auto before = std::prev(after);
-      if (seq < before->second) return false;  // inside an existing run
-      if (seq == before->second) {
-        ++before->second;
-        if (after != w.ahead.end() && after->first == before->second) {
-          before->second = after->second;
-          w.ahead.erase(after);
-        }
-        return true;
-      }
-    }
-    if (after != w.ahead.end() && after->first == seq + 1) {
-      // Prepends the following run (map keys are immutable: re-insert).
-      const std::uint64_t end = after->second;
-      w.ahead.erase(after);
-      w.ahead.emplace(seq, end);
-      return true;
-    }
-    w.ahead.emplace(seq, seq + 1);
-    return true;
-  };
-  if (id.origin >= origins_.size()) return false;  // malformed origin
-  Origin& o = origins_[id.origin];
-  const std::uint64_t epoch = seq_epoch(id.seq);
-  if (epoch == o.epoch) return mark_in_window(o.cur, id.seq);
-  if (epoch > o.epoch) {
-    // The origin restarted: archive the dead incarnation's window (late
-    // copies of its messages must still dedup and deliver) and open the new
-    // epoch's.  Compaction keeps the newest kMaxOldEpochs archives.
-    o.old_epochs.emplace(o.epoch, std::move(o.cur));
-    while (o.old_epochs.size() > kMaxOldEpochs) {
-      o.old_epochs.erase(o.old_epochs.begin());
-    }
-    o.epoch = epoch;
-    o.cur = EpochWindow{(epoch << kIncarnationSeqShift) + 1, {}};
-    return mark_in_window(o.cur, id.seq);
-  }
-  // An epoch older than every archive was compacted away: suppress, the
-  // safe direction (a many-restarts-stale relay re-offering ancient ids
-  // must not re-deliver them).
-  if (!o.old_epochs.empty() && epoch < o.old_epochs.begin()->first &&
-      o.old_epochs.size() >= kMaxOldEpochs) {
-    return false;
-  }
-  auto [it, inserted] = o.old_epochs.try_emplace(
-      epoch, EpochWindow{(epoch << kIncarnationSeqShift) + 1, {}});
-  (void)inserted;
-  return mark_in_window(it->second, id.seq);
-}
-
-std::size_t CrossVersionDedup::entries() const {
-  std::size_t n = 0;
-  for (const Origin& o : origins_) {
-    n += o.cur.ahead.size();
-    for (const auto& [epoch, w] : o.old_epochs) n += w.ahead.size();
-  }
-  return n;
 }
 
 // ---------------------------------------------------------------------------
@@ -451,8 +366,8 @@ void ReplacementFacadeBase::perform_switch_impl(const std::string& protocol,
 // State transfer (recovery / late join)
 // ---------------------------------------------------------------------------
 
-void ReplacementFacadeBase::replay_delivered(const MsgId& /*id*/,
-                                             const Payload& /*payload*/) {}
+void ReplacementFacadeBase::replay_delivered(
+    std::span<const LogEntry> /*run*/) {}
 
 void ReplacementFacadeBase::on_state_sync_complete() {}
 
@@ -752,13 +667,19 @@ void ReplacementFacadeBase::finalize_state_sync() {
   // recovered stack's delivery sequence restarts from the beginning of
   // history) and seed the replay log with it, so this stack can serve later
   // requesters with the same full history.
-  for (LogEntry& e : sync_entries_) {
-    if (e.kind == kLogData) {
-      ++replayed_from_snapshot_;
-      replay_delivered(e.id, e.payload);
+  // Each maximal run of data entries between switch entries replays in one
+  // call.
+  const std::span<const LogEntry> entries(sync_entries_);
+  std::size_t run_start = 0;
+  for (std::size_t i = 0; i <= entries.size(); ++i) {
+    if (i < entries.size() && entries[i].kind == kLogData) continue;
+    if (i > run_start) {
+      replayed_from_snapshot_ += i - run_start;
+      replay_delivered(entries.subspan(run_start, i - run_start));
     }
-    push_log(std::move(e));
+    run_start = i + 1;
   }
+  for (LogEntry& e : sync_entries_) push_log(std::move(e));
   sync_entries_.clear();
   sync_entries_.shrink_to_fit();
   if (fcfg_.state_sync == FacadeConfig::StateSync::kLog) {

@@ -19,11 +19,6 @@
 //    (a bounded replay log plus a snapshot protocol that lets a recovering
 //    or late-joining stack obtain version metadata and delivered history
 //    from a peer — see the "State-transfer machinery" section below).
-//  * `CrossVersionDedup` — per-origin duplicate suppression across protocol
-//    versions, for facades over services without a total order (rbcast):
-//    where Repl-ABcast can discard stale-version messages (the total order
-//    makes the discard consistent everywhere), an unordered service must
-//    accept any version's copy and deduplicate by message id instead.
 //
 // Three facades instantiate the substrate: `ReplAbcastModule`
 // (repl/repl_abcast.hpp, Algorithm 1 verbatim), `ReplRbcastModule`
@@ -35,6 +30,7 @@
 
 #include <deque>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,51 +48,6 @@ namespace dpu {
 /// protocol with identical parameters.
 void encode_module_params(BufWriter& w, const ModuleParams& params);
 [[nodiscard]] ModuleParams decode_module_params(BufReader& r);
-
-/// Per-origin duplicate suppression across protocol versions and
-/// incarnations.  Message ids from one origin are monotonically increasing
-/// within one incarnation epoch (the facade's id counter never resets on a
-/// switch), but may *arrive* out of order across versions — two inner
-/// protocol instances are independent transports, and reissued messages
-/// carry their original id.  A watermark (`next`) plus an ahead-set is both
-/// correct for that arrival order and bounded: `next` only advances through
-/// contiguously seen ids, so an id below it was definitely seen.
-class CrossVersionDedup {
- public:
-  /// Archived windows kept per origin: a dead incarnation's window stays
-  /// queryable until this many newer incarnations supersede it; beyond that
-  /// its ids are treated as already seen (suppression errs on the safe,
-  /// no-duplicates side for relays that are several restarts stale).
-  static constexpr std::size_t kMaxOldEpochs = 4;
-
-  /// Sized for `world` origins; ids start at each origin's incarnation base.
-  void reset(std::size_t world);
-
-  /// Returns true on first sighting of `id`, false for a duplicate.
-  [[nodiscard]] bool mark_seen(const MsgId& id);
-
-  /// Retained state across all origins and epochs, in coalesced ahead-run
-  /// intervals (the memory bound under sustained churn; surfaced as the
-  /// `dedup_entries` scenario counter).
-  [[nodiscard]] std::size_t entries() const;
-
- private:
-  struct EpochWindow {
-    std::uint64_t next = 1;  ///< lowest id not yet seen contiguously
-    /// Seen ids beyond `next`, coalesced into [start, end) runs: memory
-    /// scales with arrival fragmentation, not with message count.
-    std::map<std::uint64_t, std::uint64_t> ahead;
-  };
-  struct Origin {
-    std::uint64_t epoch = 0;
-    EpochWindow cur;
-    /// Earlier incarnations' windows (newest kMaxOldEpochs): late
-    /// cross-version copies of a dead incarnation's messages must still
-    /// dedup (and still deliver once).
-    std::map<std::uint64_t, EpochWindow> old_epochs;
-  };
-  std::vector<Origin> origins_;
-};
 
 /// Base of the per-service replacement facades: Algorithm 1's state and
 /// switch sequencing, generic over the intercepted service.
@@ -320,10 +271,21 @@ class ReplacementFacadeBase : public Module, public UpdateMechanism {
   /// unwrapped inner blob (a slice of the wire buffer).
   void log_delivered(const MsgId& id, const Payload& payload);
 
-  /// Replays one snapshot data entry to the client during sync finalize, in
-  /// snapshot (= original delivery) order.  kLog facades override; default
-  /// no-op.
-  virtual void replay_delivered(const MsgId& id, const Payload& payload);
+  /// One replay-log entry: a facade-level data delivery or a switch.
+  enum LogKind : std::uint8_t { kLogData = 0, kLogSwitch = 1 };
+  struct LogEntry {
+    std::uint8_t kind = kLogData;
+    MsgId id;         // kLogData
+    Payload payload;  // kLogData: the inner blob (slice of the wire buffer)
+    std::uint64_t sn = 0;   // kLogSwitch
+    std::string protocol;   // kLogSwitch
+  };
+
+  /// Replays snapshot data entries to the client during sync finalize, in
+  /// snapshot (= original delivery) order: `run` is a maximal run of
+  /// kLogData entries between two switch entries, replayed in one call.
+  /// kLog facades override; default no-op.
+  virtual void replay_delivered(std::span<const LogEntry> run);
   /// Called after a snapshot finalizes, right before the undelivered set is
   /// reissued under the synced version.  Default no-op.
   virtual void on_state_sync_complete();
@@ -409,14 +371,6 @@ class ReplacementFacadeBase : public Module, public UpdateMechanism {
     kStateHeader = 2,
     kStateChunk = 3,
     kStateCancel = 4,
-  };
-  enum LogKind : std::uint8_t { kLogData = 0, kLogSwitch = 1 };
-  struct LogEntry {
-    std::uint8_t kind = kLogData;
-    MsgId id;         // kLogData
-    Payload payload;  // kLogData: the inner blob (slice of the wire buffer)
-    std::uint64_t sn = 0;   // kLogSwitch
-    std::string protocol;   // kLogSwitch
   };
   struct StateRequest {
     NodeId node = kNoNode;

@@ -77,48 +77,64 @@ void ReplAbcastModule::inner_abcast(Payload wrapped) {
 // Algorithm 1 lines 10-21: Adeliver
 // ---------------------------------------------------------------------------
 
-void ReplAbcastModule::adeliver(NodeId /*sender*/, const Bytes& inner_payload) {
-  try {
-    Unwrapped m = unwrap(inner_payload);
+void ReplAbcastModule::adeliver_batch(std::span<const AbcastDelivery> run) {
+  // Fresh data messages not yet handed to the clients (line 21).
+  std::vector<std::pair<NodeId, Bytes>> fresh;
+  for (const AbcastDelivery& d : run) {
+    try {
+      Unwrapped m = unwrap(d.payload);
 
-    if (m.tag != kNil) {
-      // Lines 10-16 (kNewProtocol), or a refresh switch coordinated for a
-      // recovering peer (kNewProtocolSync).  Note: Algorithm 1 deliberately
-      // has no sn test here — change messages are processed in delivery
-      // order wherever they come from, which keeps concurrent/chained
-      // replacements consistent (every stack sees them in the same total
-      // order).
-      perform_switch_from(m);
-      return;
-    }
+      if (m.tag != kNil) {
+        // Lines 10-16 (kNewProtocol), or a refresh switch coordinated for a
+        // recovering peer (kNewProtocolSync).  Note: Algorithm 1
+        // deliberately has no sn test here — change messages are processed
+        // in delivery order wherever they come from, which keeps
+        // concurrent/chained replacements consistent (every stack sees them
+        // in the same total order).  The clients get everything delivered
+        // before the change first.
+        adeliver_run(up_, fresh);
+        fresh.clear();
+        perform_switch_from(m);
+        continue;
+      }
 
-    // Lines 17-21.
-    if (m.sn != seq_number_) {
-      // Line 18: a message issued under an older protocol version; its
-      // origin re-issues it under the new version (line 16), so dropping it
-      // here preserves validity while preventing duplicate delivery.
-      ++stale_discarded_;
-      return;
+      // Lines 17-21.
+      if (m.sn != seq_number_) {
+        // Line 18: a message issued under an older protocol version; its
+        // origin re-issues it under the new version (line 16), so dropping
+        // it here preserves validity while preventing duplicate delivery.
+        ++stale_discarded_;
+        continue;
+      }
+      if (m.id.origin == env().node_id()) {
+        settle_undelivered(m.id);  // lines 19-20
+      }
+      // Record before notifying, so a snapshot replays in delivery order.
+      log_delivered(m.id, Payload::copy_of(
+                              {m.payload.data(), m.payload.size()}));
+      fresh.emplace_back(m.id.origin, std::move(m.payload));
+    } catch (const CodecError& e) {
+      // Inner abcast is reliable: malformed wrappers indicate a bug, not
+      // loss.
+      DPU_LOG(kError, "repl") << "s" << env().node_id()
+                              << " malformed wrapped message: " << e.what();
     }
-    if (m.id.origin == env().node_id()) {
-      settle_undelivered(m.id);  // lines 19-20
-    }
-    // Record before notifying, so a snapshot replays in delivery order.
-    log_delivered(m.id, Payload::copy_of(
-                            {m.payload.data(), m.payload.size()}));
-    // Line 21: rAdeliver(m).
-    up_.notify([&](AbcastListener& l) { l.adeliver(m.id.origin, m.payload); });
-  } catch (const CodecError& e) {
-    // Inner abcast is reliable: malformed wrappers indicate a bug, not loss.
-    DPU_LOG(kError, "repl") << "s" << env().node_id()
-                            << " malformed wrapped message: " << e.what();
   }
+  adeliver_run(up_, fresh);  // line 21: rAdeliver(m)
 }
 
-void ReplAbcastModule::replay_delivered(const MsgId& id,
-                                        const Payload& payload) {
-  const Bytes bytes = payload.to_bytes();
-  up_.notify([&](AbcastListener& l) { l.adeliver(id.origin, bytes); });
+void ReplAbcastModule::adeliver(NodeId sender, const Bytes& inner_payload) {
+  const AbcastDelivery one{sender, inner_payload};
+  adeliver_batch({&one, 1});
+}
+
+void ReplAbcastModule::replay_delivered(std::span<const LogEntry> run) {
+  std::vector<std::pair<NodeId, Bytes>> history;
+  history.reserve(run.size());
+  for (const LogEntry& e : run) {
+    history.emplace_back(e.id.origin, e.payload.to_bytes());
+  }
+  adeliver_run(up_, history);
 }
 
 }  // namespace dpu

@@ -6,7 +6,8 @@
 // *inner* abcast service that the real protocol binds to.  It intercepts
 // both directions:
 //   * calls     — facade abcast()  -> wrap -> inner abcast()
-//   * responses — inner adeliver() -> filter/unwrap -> facade adeliver()
+//   * responses — inner adeliver_batch() -> filter/unwrap -> facade
+//                 adeliver_batch(), one upcall per run of fresh messages
 // The inner protocol modules are completely unaware that replacement exists;
 // only the abcast *specification* (§5.1) is assumed — the paper's modularity
 // claim versus Maestro and Graceful Adaptation.
@@ -81,6 +82,11 @@ class ReplAbcastModule final : public ReplacementFacadeBase,
   void abcast(Payload payload) override;
 
   // ---- Inner-service listener (Algorithm 1 lines 10-21: Adeliver) ----
+  /// Runs lines 10-21 per message.  Each maximal run of fresh data messages
+  /// goes up to the clients in one upcall; a change message first flushes
+  /// the run before it, then switches.
+  void adeliver_batch(std::span<const AbcastDelivery> run) override;
+  /// A one-element batch.
   void adeliver(NodeId sender, const Bytes& inner_payload) override;
 
   // ---- UpdateMechanism (repl/update.hpp) -----------------------------------
@@ -107,7 +113,7 @@ class ReplAbcastModule final : public ReplacementFacadeBase,
   /// history to this stack's clients in the original total order, so a
   /// recovered incarnation's delivery sequence audits clean from the
   /// beginning of history.
-  void replay_delivered(const MsgId& id, const Payload& payload) override;
+  void replay_delivered(std::span<const LogEntry> run) override;
   [[nodiscard]] const char* change_requested_marker() const override {
     return kTraceChangeRequested;
   }

@@ -39,7 +39,7 @@ ReplRbcastModule::ReplRbcastModule(Stack& stack, std::string instance_name,
       switch_channel_(fnv1a64(Module::instance_name() + "/switch")) {}
 
 void ReplRbcastModule::start() {
-  dedup_.reset(env().world_size());
+  dedup_.reset(env().world_size(), kMaxOldEpochs);
   facade_start();  // installs version 0; on_inner_installed hooks it up
 }
 

@@ -24,7 +24,7 @@
 //    while B discards it after switching — if B dropped it and the origin
 //    (which already delivered it locally) never reissued, B would violate
 //    agreement.  The facade therefore accepts any version's copy and
-//    deduplicates by message id across versions (CrossVersionDedup);
+//    deduplicates by message id across versions (MsgDedup);
 //    reissue of the undelivered set (line 16) still bounds the switch's
 //    delivery latency.
 //
@@ -48,6 +48,7 @@
 
 #include "core/module.hpp"
 #include "core/stack.hpp"
+#include "net/msg_dedup.hpp"
 #include "net/services.hpp"
 #include "repl/facade.hpp"
 #include "repl/update.hpp"
@@ -143,7 +144,11 @@ class ReplRbcastModule final : public ReplacementFacadeBase, public RbcastApi {
   std::vector<InnerVersion> versions_;
   /// Client handlers (reference-stable dispatch; see HandlerTable).
   HandlerTable<ChannelId, BroadcastHandler> channels_;
-  CrossVersionDedup dedup_;
+  /// Cross-version dedup.  Keeps the newest kMaxOldEpochs archived windows
+  /// per origin: a copy several restarts stale is suppressed, the
+  /// no-duplicates side.
+  MsgDedup dedup_;
+  static constexpr std::size_t kMaxOldEpochs = 4;
   std::uint64_t changes_dropped_ = 0;
 };
 

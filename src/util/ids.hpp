@@ -45,17 +45,4 @@ struct MsgId {
   }
 };
 
-struct MsgIdHash {
-  std::size_t operator()(const MsgId& id) const noexcept {
-    // Mix the two halves; splitmix-style finalizer.
-    std::uint64_t x = (static_cast<std::uint64_t>(id.origin) << 40) ^ id.seq;
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x);
-  }
-};
-
 }  // namespace dpu

@@ -2,7 +2,14 @@
 // of paper §5.1 under concurrent senders, bursts and message loss.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/abcast_rig.hpp"
+#include "net/msg_dedup.hpp"
 
 namespace dpu {
 namespace {
@@ -193,6 +200,133 @@ TEST(CtAbcast, BatchingKeepsUpUnderPressure) {
   ASSERT_NE(ct0, nullptr);
   EXPECT_GE(ct0->instances_settled(), 600u / 128u);  // needed > 1 instance
   EXPECT_EQ(ct0->pending_count(), 0u);
+}
+
+/// Records every upcall's run; overrides the batch upcall.
+struct BatchRecorder final : AbcastListener {
+  void adeliver(NodeId /*sender*/, const Bytes& /*payload*/) override {
+    ADD_FAILURE() << "a batch-overriding listener got a per-message upcall";
+  }
+  void adeliver_batch(std::span<const AbcastDelivery> run) override {
+    runs.emplace_back();
+    for (const AbcastDelivery& d : run) {
+      runs.back().emplace_back(d.sender, to_string(d.payload));
+    }
+  }
+  std::vector<std::vector<std::pair<NodeId, std::string>>> runs;
+};
+
+/// Overrides only the per-message upcall (the default batch upcall feeds it).
+struct MessageRecorder final : AbcastListener {
+  void adeliver(NodeId sender, const Bytes& payload) override {
+    seen.emplace_back(sender, to_string(payload));
+  }
+  std::vector<std::pair<NodeId, std::string>> seen;
+};
+
+TEST(CtAbcast, EachDecidedBatchIsOneUpcall) {
+  SimConfig config{.num_stacks = 3, .seed = 36};
+  AbcastRig rig(config, AbcastKind::kCt);
+  std::vector<BatchRecorder> batched(3);
+  std::vector<MessageRecorder> single(3);
+  for (NodeId i = 0; i < 3; ++i) {
+    rig.world.stack(i).listen<AbcastListener>(kAbcastService, &batched[i],
+                                              nullptr);
+    rig.world.stack(i).listen<AbcastListener>(kAbcastService, &single[i],
+                                              nullptr);
+  }
+  // Bursts fill multi-message decisions.
+  for (NodeId i = 0; i < 3; ++i) {
+    for (int k = 0; k < 50; ++k) {
+      rig.send_at((k / 10) * 20 * kMillisecond, i,
+                  "b" + std::to_string(i) + "-" + std::to_string(k));
+    }
+  }
+  rig.world.run_for(10 * kSecond);
+  ASSERT_TRUE(rig.audit.check(3).ok);
+
+  for (NodeId i = 0; i < 3; ++i) {
+    auto* ct = dynamic_cast<CtAbcastModule*>(
+        rig.world.stack(i).find_module(kAbcastService));
+    ASSERT_NE(ct, nullptr);
+    // Failure-free, every decided batch holds only messages new here (a
+    // stack proposes instance k+1 only after applying k), so there is
+    // exactly one upcall per settled instance.
+    EXPECT_EQ(batched[i].runs.size(), ct->instances_settled()) << i;
+    std::vector<std::pair<NodeId, std::string>> flat;
+    std::size_t longest = 0;
+    for (const auto& run : batched[i].runs) {
+      EXPECT_FALSE(run.empty());
+      longest = std::max(longest, run.size());
+      flat.insert(flat.end(), run.begin(), run.end());
+    }
+    EXPECT_GT(longest, 1u) << "bursts should decide multi-message batches";
+    EXPECT_EQ(flat, single[i].seen) << "stack " << i;
+    EXPECT_EQ(flat.size(), 150u);
+    // Delivered ids settle in order per origin: the dedup holds no runs.
+    EXPECT_EQ(ct->delivered_entries(), 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// MsgDedup in CT-ABcast's delivered-id role (no archive compaction)
+// ---------------------------------------------------------------------------
+
+TEST(MsgDedup, InOrderIdsFromThreeOriginsRetainNothing) {
+  MsgDedup dedup;
+  dedup.reset(3);
+  for (std::uint64_t seq = 1; seq <= 100'000; ++seq) {
+    for (NodeId origin = 0; origin < 3; ++origin) {
+      ASSERT_TRUE(dedup.mark_seen({origin, seq}));
+    }
+  }
+  EXPECT_EQ(dedup.entries(), 0u);
+  EXPECT_TRUE(dedup.seen({1, 100'000}));
+  EXPECT_FALSE(dedup.seen({1, 100'001}));
+}
+
+TEST(MsgDedup, OutOfOrderIdIsDeduplicatedExactlyOnce) {
+  MsgDedup dedup;
+  dedup.reset(1);
+  EXPECT_TRUE(dedup.mark_seen({0, 1}));
+  EXPECT_TRUE(dedup.mark_seen({0, 3}));  // past the gap at 2
+  EXPECT_EQ(dedup.entries(), 1u);
+  EXPECT_TRUE(dedup.seen({0, 3}));
+  EXPECT_FALSE(dedup.seen({0, 2}));
+  EXPECT_FALSE(dedup.mark_seen({0, 3}));
+  EXPECT_TRUE(dedup.mark_seen({0, 2}));  // fills the gap
+  EXPECT_FALSE(dedup.mark_seen({0, 2}));
+  EXPECT_EQ(dedup.entries(), 0u);  // the ahead-run folded into the watermark
+}
+
+TEST(MsgDedup, EarlierEpochOfRecoveredOriginIsDeduplicatedExactlyOnce) {
+  MsgDedup dedup;
+  dedup.reset(2);
+  const std::uint64_t e1 = incarnation_seq_base(1);
+  const std::uint64_t e2 = incarnation_seq_base(2);
+  EXPECT_TRUE(dedup.mark_seen({1, 1}));
+  EXPECT_TRUE(dedup.mark_seen({1, e2 + 1}));  // recovered twice
+  // Late copies of epoch 0 and epoch 1 still count once each; without
+  // archive compaction every earlier epoch stays exact.
+  EXPECT_TRUE(dedup.mark_seen({1, 2}));
+  EXPECT_FALSE(dedup.mark_seen({1, 2}));
+  EXPECT_FALSE(dedup.seen({1, e1 + 1}));
+  EXPECT_TRUE(dedup.mark_seen({1, e1 + 1}));
+  EXPECT_FALSE(dedup.mark_seen({1, e1 + 1}));
+  EXPECT_TRUE(dedup.seen({1, e1 + 1}));
+  EXPECT_FALSE(dedup.mark_seen({1, 1}));
+  EXPECT_EQ(dedup.entries(), 0u);
+}
+
+TEST(MsgDedup, CompactionSuppressesEpochsOlderThanTheArchive) {
+  MsgDedup dedup;
+  dedup.reset(1, /*max_old_epochs=*/1);
+  EXPECT_TRUE(dedup.mark_seen({0, 1}));
+  EXPECT_TRUE(dedup.mark_seen({0, incarnation_seq_base(1) + 1}));
+  EXPECT_TRUE(dedup.mark_seen({0, incarnation_seq_base(2) + 1}));
+  // Epoch 0's window was compacted away: its ids count as seen.
+  EXPECT_TRUE(dedup.seen({0, 5}));
+  EXPECT_FALSE(dedup.mark_seen({0, 5}));
 }
 
 }  // namespace

@@ -175,5 +175,25 @@ TEST_P(CtConsensusChaosTest, SafeUnderLossAndCrash) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CtConsensusChaosTest,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
 
+TEST(CtConsensus, CoordinatorProposeToAllIsOneRp2pCrossing) {
+  // rp2p parks messages until its flush timer, so inside one event the stack
+  // CPU charged (hop cost per service crossing) counts exactly the
+  // crossings.  Stack 0 coordinates round 0 and, skipping phase 1, sends its
+  // proposal to all three stacks at once.
+  constexpr Duration kHop = kMicrosecond;
+  SimConfig config{.num_stacks = 3, .seed = 14};
+  config.stack_cost.service_hop_cost = kHop;
+  ConsensusRig rig(config, ct_factory());
+  TimePoint before = -1, after = -1;
+  rig.world.at_node(10 * kMillisecond, 0, [&]() {
+    before = rig.world.stack(0).host().busy_now();
+    rig.providers[0]->propose(kStream, 1, to_bytes("v"));
+    after = rig.world.stack(0).host().busy_now();
+  });
+  rig.world.run_for(kSecond);
+  EXPECT_EQ(after - before, kHop);
+  EXPECT_EQ(rig.check_decided(1, {"v"}), "v");
+}
+
 }  // namespace
 }  // namespace dpu

@@ -143,5 +143,47 @@ TEST(Rbcast, SurvivesHeavyLoss) {
   }
 }
 
+// rp2p parks messages until its flush timer, so inside one event the stack
+// CPU charged (hop cost per service crossing) counts exactly the crossings.
+constexpr Duration kHop = kMicrosecond;
+
+TEST(Rbcast, BroadcastToAllIsOneRp2pCrossing) {
+  SimConfig config{.num_stacks = 4, .seed = 12};
+  config.stack_cost.service_hop_cost = kHop;
+  Rig rig(config);
+  TimePoint before = -1, after = -1;
+  rig.world.at_node(10 * kMillisecond, 0, [&]() {
+    before = rig.world.stack(0).host().busy_now();
+    rig.handles[0].rbcast->rbcast(kChan, to_bytes("m"));
+    after = rig.world.stack(0).host().busy_now();
+  });
+  rig.world.run_for(kSecond);
+  EXPECT_EQ(after - before, kHop);
+  for (NodeId i = 0; i < 4; ++i) EXPECT_EQ(rig.got[i].size(), 1u) << i;
+}
+
+TEST(Rbcast, RelayToAllOthersIsOneRp2pCrossing) {
+  // Stack 1 receives the origin's copy first and relays it to stacks 2 and
+  // 3; with relay off, the same event differs by exactly that relay.
+  auto busy_at_first_receipt = [](bool relay) {
+    SimConfig config{.num_stacks = 4, .seed = 13};
+    config.stack_cost.service_hop_cost = kHop;
+    Rig rig(config, relay);
+    TimePoint busy = -1;
+    rig.handles[1].rbcast->rbcast_bind_channel(
+        kChan, [&](NodeId origin, const Payload&) {
+          EXPECT_EQ(origin, 0u);
+          if (busy < 0) busy = rig.world.stack(1).host().busy_now();
+        });
+    rig.world.at_node(10 * kMillisecond, 0, [&]() {
+      rig.handles[0].rbcast->rbcast(kChan, to_bytes("m"));
+    });
+    rig.world.run_for(kSecond);
+    EXPECT_EQ(rig.handles[1].rbcast->relays(), relay ? 1u : 0u);
+    return busy;
+  };
+  EXPECT_EQ(busy_at_first_receipt(true) - busy_at_first_receipt(false), kHop);
+}
+
 }  // namespace
 }  // namespace dpu

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "common/repl_rig.hpp"
+#include "net/msg_dedup.hpp"
 #include "repl/repl_abcast.hpp"
 
 namespace dpu {
@@ -75,22 +76,22 @@ TEST(FacadeCodec, ModuleParamsRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// CrossVersionDedup
+// MsgDedup in the rbcast facade's cross-version role
 // ---------------------------------------------------------------------------
 
-TEST(CrossVersionDedup, FirstSightingOnlyPerId) {
-  CrossVersionDedup dedup;
+TEST(MsgDedup, FirstSightingOnlyPerId) {
+  MsgDedup dedup;
   dedup.reset(3);
   EXPECT_TRUE(dedup.mark_seen({0, 1}));
   EXPECT_FALSE(dedup.mark_seen({0, 1}));
   EXPECT_TRUE(dedup.mark_seen({1, 1}));  // other origin is independent
 }
 
-TEST(CrossVersionDedup, OutOfOrderArrivalAcrossVersionsIsHandled) {
+TEST(MsgDedup, OutOfOrderArrivalAcrossVersionsIsHandled) {
   // Ids 1..4 from one origin arrive 2, 4, 1, 3 (two inner transports can
   // interleave arbitrarily): every id is accepted exactly once, including
   // an id below the highest seen.
-  CrossVersionDedup dedup;
+  MsgDedup dedup;
   dedup.reset(1);
   EXPECT_TRUE(dedup.mark_seen({0, 2}));
   EXPECT_TRUE(dedup.mark_seen({0, 4}));
@@ -101,8 +102,8 @@ TEST(CrossVersionDedup, OutOfOrderArrivalAcrossVersionsIsHandled) {
   }
 }
 
-TEST(CrossVersionDedup, ReissuedCopyOfDeliveredMessageIsSuppressed) {
-  CrossVersionDedup dedup;
+TEST(MsgDedup, ReissuedCopyOfDeliveredMessageIsSuppressed) {
+  MsgDedup dedup;
   dedup.reset(1);
   // Contiguous prefix delivered, then a reissue of id 2 (e.g. the origin
   // reissued under a new version while the old copy already arrived).
@@ -112,8 +113,8 @@ TEST(CrossVersionDedup, ReissuedCopyOfDeliveredMessageIsSuppressed) {
   EXPECT_FALSE(dedup.mark_seen({0, 2}));
 }
 
-TEST(CrossVersionDedup, IncarnationEpochsStayIndependent) {
-  CrossVersionDedup dedup;
+TEST(MsgDedup, IncarnationEpochsStayIndependent) {
+  MsgDedup dedup;
   dedup.reset(1);
   const std::uint64_t e1 = incarnation_seq_base(1);
   EXPECT_TRUE(dedup.mark_seen({0, 1}));           // epoch 0
@@ -124,8 +125,8 @@ TEST(CrossVersionDedup, IncarnationEpochsStayIndependent) {
   EXPECT_FALSE(dedup.mark_seen({0, 2}));
 }
 
-TEST(CrossVersionDedup, MalformedOriginIsRejected) {
-  CrossVersionDedup dedup;
+TEST(MsgDedup, MalformedOriginIsRejected) {
+  MsgDedup dedup;
   dedup.reset(2);
   EXPECT_FALSE(dedup.mark_seen({7, 1}));
 }

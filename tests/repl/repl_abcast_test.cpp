@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/repl_rig.hpp"
 
 namespace dpu {
@@ -306,6 +311,162 @@ TEST_P(ReplSwitchSweepTest, PropertiesHoldAcrossSwitch) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ReplSwitchSweepTest,
                          ::testing::Values(100, 101, 102, 103, 104, 105, 106,
                                            107));
+
+// ---------------------------------------------------------------------------
+// Batched delivery through the facade
+// ---------------------------------------------------------------------------
+
+/// A client listener that overrides the batch upcall, recording each run
+/// and the facade's version at delivery time.
+struct RunRecorder final : AbcastListener {
+  explicit RunRecorder(const ReplAbcastModule* facade = nullptr)
+      : facade(facade) {}
+  void adeliver(NodeId /*sender*/, const Bytes& /*payload*/) override {
+    ADD_FAILURE() << "a batch-overriding listener got a per-message upcall";
+  }
+  void adeliver_batch(std::span<const AbcastDelivery> run) override {
+    runs.push_back(run.size());
+    for (const AbcastDelivery& d : run) {
+      delivered.emplace_back(to_string(d.payload),
+                             facade != nullptr ? facade->seq_number() : 0);
+    }
+  }
+  const ReplAbcastModule* facade;
+  std::vector<std::size_t> runs;
+  /// (payload, facade version when it reached the client)
+  std::vector<std::pair<std::string, std::uint64_t>> delivered;
+};
+
+struct ChangeBatchOutcome {
+  std::vector<std::pair<std::string, std::uint64_t>> delivered;
+  std::vector<std::size_t> runs;
+  std::uint64_t stale_after_feed = 0;
+  std::uint64_t seq_number = 0;
+  std::uint64_t switches = 0;
+  std::uint64_t reissued = 0;
+};
+
+/// Feeds a one-stack facade the inner run [m1, m2, change, m3(stale)] — as
+/// one batch, or one message at a time — while its own message "own" is
+/// still undelivered.
+ChangeBatchOutcome feed_change_batch(bool one_at_a_time) {
+  ReplRig rig(SimConfig{.num_stacks = 1, .seed = 51});
+  ReplAbcastModule* repl = rig.repl[0];
+  RunRecorder client(repl);
+  rig.world.stack(0).listen<AbcastListener>(kAbcastService, &client, nullptr);
+  rig.world.run_for(100 * kMillisecond);
+
+  ChangeBatchOutcome out;
+  rig.world.at_node(rig.world.now(), 0, [&]() {
+    repl->abcast(to_bytes("own"));
+    auto data = [](std::uint64_t seq, const std::string& text) {
+      return ReplacementFacadeBase::wrap_data(0, MsgId{0, 1000 + seq},
+                                              Payload(to_bytes(text)))
+          .to_bytes();
+    };
+    BufWriter change;
+    change.put_u8(ReplacementFacadeBase::kNewProtocol);
+    change.put_varint(0);
+    change.put_string("abcast.ct");
+    encode_module_params(change, ModuleParams());
+    const std::vector<Bytes> inner = {data(1, "m1"), data(2, "m2"),
+                                      change.take(), data(3, "m3")};
+    if (one_at_a_time) {
+      for (const Bytes& wire : inner) repl->adeliver(0, wire);
+    } else {
+      std::vector<AbcastDelivery> run;
+      for (const Bytes& wire : inner) run.push_back(AbcastDelivery{0, wire});
+      repl->adeliver_batch(run);
+    }
+    out.stale_after_feed = repl->stale_discarded();
+  });
+  rig.world.run_for(2 * kSecond);
+  out.delivered = client.delivered;
+  out.runs = client.runs;
+  out.seq_number = repl->seq_number();
+  out.switches = repl->switches_completed();
+  out.reissued = repl->reissued_total();
+  EXPECT_EQ(repl->undelivered_count(), 0u);
+  return out;
+}
+
+TEST(ReplAbcast, BatchFlushesRunBeforeSwitchAndDropsStale) {
+  const ChangeBatchOutcome batch = feed_change_batch(false);
+  // m1 and m2 reach the clients under version 0, before the switch, in one
+  // upcall; m3 (issued under version 0, ordered after the change) is
+  // discarded; the reissued own message arrives under version 1.
+  const std::vector<std::pair<std::string, std::uint64_t>> expected = {
+      {"m1", 0}, {"m2", 0}, {"own", 1}};
+  EXPECT_EQ(batch.delivered, expected);
+  EXPECT_EQ(batch.runs, (std::vector<std::size_t>{2, 1}));
+  EXPECT_EQ(batch.stale_after_feed, 1u);
+  EXPECT_EQ(batch.seq_number, 1u);
+  EXPECT_EQ(batch.switches, 1u);
+  EXPECT_EQ(batch.reissued, 1u);
+
+  // The per-message upcall is a one-element batch: same outcome.
+  const ChangeBatchOutcome single = feed_change_batch(true);
+  EXPECT_EQ(single.delivered, batch.delivered);
+  EXPECT_EQ(single.runs, (std::vector<std::size_t>{1, 1, 1}));
+  EXPECT_EQ(single.stale_after_feed, batch.stale_after_feed);
+  EXPECT_EQ(single.seq_number, batch.seq_number);
+  EXPECT_EQ(single.switches, batch.switches);
+  EXPECT_EQ(single.reissued, batch.reissued);
+}
+
+TEST(ReplAbcast, SnapshotReplayIsOneUpcallPerSwitchSegment) {
+  // History: traffic, a CT -> SEQ switch, more traffic.  Stack 2 crashes and
+  // recovers with a fresh stack; its facade replays the snapshot (one switch
+  // entry) before anything else reaches its clients.
+  ReplRig rig(SimConfig{.num_stacks = 3, .seed = 52});
+  RunRecorder reference;
+  rig.world.stack(0).listen<AbcastListener>(kAbcastService, &reference,
+                                            nullptr);
+  for (int k = 0; k < 30; ++k) {
+    rig.send_at(k * 20 * kMillisecond, static_cast<NodeId>(k % 2),
+                "h" + std::to_string(k));
+  }
+  rig.switch_at(300 * kMillisecond, 0, "abcast.seq");
+  rig.world.at(700 * kMillisecond, [&]() { rig.world.crash(2); });
+
+  ReplAbcastModule* recovered = nullptr;
+  RunRecorder replayed;
+  rig.world.at(kSecond, [&]() {
+    rig.world.recover(2);
+    Stack& stack = rig.world.stack(2);
+    Rp2pModule::Config rc;
+    rc.retransmit_interval = 5 * kMillisecond;
+    UdpModule::create(stack);
+    Rp2pModule::create(stack, kRp2pService, rc);
+    RbcastModule::create(stack);
+    FdModule::create(stack, kFdService, testing::ConsensusRig::FastFd());
+    stack.start_all();
+    CtConsensusModule::create(stack);
+    recovered = ReplAbcastModule::create(stack, ReplAbcastModule::Config{});
+    stack.listen<AbcastListener>(kAbcastService, &replayed, nullptr);
+    stack.start_all();
+  });
+  rig.world.run_for(10 * kSecond);
+
+  ASSERT_NE(recovered, nullptr);
+  EXPECT_FALSE(recovered->state_syncing());
+  EXPECT_EQ(recovered->current_protocol(), "abcast.seq");
+  const std::uint64_t n = recovered->replayed_from_snapshot();
+  ASSERT_GT(n, 0u);
+  // The first upcalls carry exactly the replay: at most switch entries + 1.
+  std::size_t calls = 0;
+  std::uint64_t covered = 0;
+  while (covered < n && calls < replayed.runs.size()) {
+    covered += replayed.runs[calls++];
+  }
+  EXPECT_EQ(covered, n);
+  EXPECT_LE(calls, 2u);
+  // In the original total order.
+  ASSERT_GE(reference.delivered.size(), n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    EXPECT_EQ(replayed.delivered[i].first, reference.delivered[i].first) << i;
+  }
+}
 
 }  // namespace
 }  // namespace dpu
