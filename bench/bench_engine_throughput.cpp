@@ -10,13 +10,14 @@
 //                    pooled event engine and the batched packet path
 //                    optimize.  Runs the product-default rp2p configuration
 //                    (coalesced delayed acks, message batching on).
-//   * saturate_unbatched — the same flood with batching off (one datagram
-//                    per message): the batching ablation.  The ratio of its
-//                    datagram count to saturate's is the batching win the
-//                    CI curve gate enforces.
-//   * saturate_per_packet — batching off and ack coalescing disabled (one
-//                    ack per DATA packet): the historical event mix, kept
-//                    as the coalescing ablation.
+//   * saturate_unbatched — the same flood with batch_flush_ns = 0 (every
+//                    send seals its own one-message batch datagram): the
+//                    batching ablation.  The ratio of its datagram count to
+//                    saturate's is the batching win the CI curve gate
+//                    enforces.
+//   * saturate_per_packet — the batching ablation with ack coalescing
+//                    disabled too (one ack per DATA packet): the historical
+//                    event mix, kept as the coalescing ablation.
 //   * crash_storm  — the product-default flood with two mid-run crashes and
 //                    a long drain window; exercises the rp2p
 //                    give-up/backoff path (without it, crashed stacks
@@ -48,7 +49,6 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fd/fd.hpp"
@@ -81,12 +81,9 @@ struct FloodSpec {
   /// ack per DATA packet) — the pre-coalescing event mix, kept as an
   /// ablation workload.
   Duration ack_delay = kMillisecond;
-  /// Product default: batched packet path.  false = one datagram per
-  /// message (the batching ablation).
-  bool batching = true;
-  /// Simulator event-engine shards (results are byte-identical at every
-  /// value; see sim_world.hpp).  The curve sweeps this.
-  std::size_t shards = 1;
+  /// Product default flush window.  0 seals every send into its own
+  /// one-message datagram (the batching ablation).
+  Duration batch_flush_ns = Rp2pConfig{}.batch_flush_ns;
   std::vector<std::pair<TimePoint, NodeId>> crashes;
 };
 
@@ -99,12 +96,6 @@ struct FloodResult {
   std::uint64_t retransmissions = 0;
   std::uint64_t messages_sent = 0;    ///< rp2p messages accepted (all stacks)
   std::uint64_t data_datagrams = 0;   ///< rp2p DATA datagrams serialized
-  /// Sharded-engine round counters.  barriers/merges are pure functions of
-  /// event timings (identical at every shard count — the gate checks that);
-  /// stalls depend on shard grouping and are informational only.
-  std::uint64_t window_barriers = 0;
-  std::uint64_t merge_batches = 0;
-  std::uint64_t window_stalls = 0;
   double wall_s = 0.0;
 
   [[nodiscard]] double events_per_sec() const {
@@ -122,29 +113,22 @@ FloodResult run_flood(const FloodSpec& spec, std::uint64_t seed) {
   SimConfig config;
   config.num_stacks = spec.n;
   config.seed = seed;
-  config.shards = spec.shards;
   SimWorld world(config);
 
   std::vector<RbcastModule*> rbcast;
   std::vector<Rp2pModule*> rp2p;
-  // One counter per node: with shards > 1 the stacks' handlers run on
-  // different threads.  Cache-line sized so they share no line.
-  struct alignas(64) Counter {
-    std::uint64_t n = 0;
-  };
-  std::vector<Counter> deliveries(spec.n);
+  std::uint64_t deliveries = 0;
   for (NodeId i = 0; i < spec.n; ++i) {
     Stack& stack = world.stack(i);
     UdpModule::create(stack);
     Rp2pModule::Config rc;
     rc.ack_delay = spec.ack_delay;
-    rc.batching = spec.batching;
+    rc.batch_flush_ns = spec.batch_flush_ns;
     rp2p.push_back(Rp2pModule::create(stack, kRp2pService, rc));
     rbcast.push_back(RbcastModule::create(stack));
     FdModule::create(stack);
     rbcast.back()->rbcast_bind_channel(
-        kBenchChannel,
-        [count = &deliveries[i].n](NodeId, const auto&) { ++*count; });
+        kBenchChannel, [&deliveries](NodeId, const auto&) { ++deliveries; });
     stack.start_all();
   }
 
@@ -203,10 +187,7 @@ FloodResult run_flood(const FloodSpec& spec, std::uint64_t seed) {
   result.deferrals = world.deferrals();
   result.packets_sent = world.packets_sent();
   result.packets_dropped = world.packets_dropped();
-  for (const Counter& c : deliveries) result.deliveries += c.n;
-  result.window_barriers = world.window_barriers();
-  result.merge_batches = world.merge_batches();
-  result.window_stalls = world.window_stalls();
+  result.deliveries = deliveries;
   for (NodeId i = 0; i < spec.n; ++i) {
     result.retransmissions += rp2p[i]->retransmissions();
     result.messages_sent += rp2p[i]->messages_sent();
@@ -227,9 +208,6 @@ Json to_json(const FloodResult& r) {
   j.set("retransmissions", r.retransmissions);
   j.set("messages_sent", r.messages_sent);
   j.set("data_datagrams", r.data_datagrams);
-  j.set("window_barriers", r.window_barriers);
-  j.set("merge_batches", r.merge_batches);
-  j.set("window_stalls", r.window_stalls);
   j.set("wall_ms", r.wall_s * 1e3);
   j.set("events_per_sec", r.events_per_sec());
   j.set("packets_per_sec", r.packets_per_sec());
@@ -286,7 +264,7 @@ RtFloodResult run_rt_flood(std::size_t n, bool batching,
     Stack& stack = world.stack(i);
     UdpModule::create(stack);
     Rp2pModule::Config rc;
-    rc.batching = batching;
+    if (!batching) rc.batch_flush_ns = 0;
     rp2p[i] = Rp2pModule::create(stack, kRp2pService, rc);
     rp2p[i]->rp2p_bind_channel(
         kBenchChannel, [&deliveries](NodeId, const Payload&) {
@@ -440,14 +418,14 @@ int main(int argc, char** argv) {
   // Batching ablation: one datagram per message, coalesced acks.  The
   // saturate/saturate_unbatched datagram ratio is the CI-gated batching win.
   FloodSpec saturate_unbatched;
-  saturate_unbatched.batching = false;
+  saturate_unbatched.batch_flush_ns = 0;
 
   // Historical event mix: no batching, one ack per DATA packet.  Runs at
   // the historical offered load — at the saturate rate the per-packet ack
   // storm sends the CPU model into a deferral spiral that takes minutes of
   // wall clock to drain, which is useless as a CI workload.
   FloodSpec saturate_per_packet;
-  saturate_per_packet.batching = false;
+  saturate_per_packet.batch_flush_ns = 0;
   saturate_per_packet.ack_delay = 0;
   saturate_per_packet.rate_per_stack = 2000.0;
 
@@ -498,11 +476,6 @@ int main(int argc, char** argv) {
   Json meta = Json::object();
   meta.set("seed", seed);
   meta.set("repeat", repeat);
-  // The shard-speedup gate is hardware-conditional: on boxes with fewer
-  // than 4 cores the 4-shard run cannot be expected to beat serial, so the
-  // gate reads this and skips the floor (loudly) when under-provisioned.
-  meta.set("hardware_concurrency",
-           static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   doc.set("bench", std::move(meta));
   Json workloads = Json::object();
   workloads.set("saturate", to_json(sat));
@@ -534,7 +507,7 @@ int main(int argc, char** argv) {
         point.duration = kSecond;
       }
       FloodSpec point_unbatched = point;
-      point_unbatched.batching = false;
+      point_unbatched.batch_flush_ns = 0;
       const FloodResult batched = best_of(point);
       const FloodResult unbatched = best_of(point_unbatched);
       std::fprintf(stderr,
@@ -553,43 +526,6 @@ int main(int argc, char** argv) {
       p.set("batched", to_json(batched));
       p.set("unbatched", to_json(unbatched));
       sim_points.push(std::move(p));
-    }
-
-    // Shard sweep: the batched saturate flood at every (nodes, shards)
-    // point.  Virtual counters must be IDENTICAL down the shard axis
-    // (byte-identity is the engine's contract; the gate enforces it on
-    // events/packets/deliveries/barriers), while events/sec should climb —
-    // the gate holds the largest point to a speedup floor when the host
-    // has enough cores.
-    Json shard_points = Json::array();
-    for (const std::size_t nodes : {3UL, 5UL, 8UL}) {
-      FloodSpec point;
-      point.n = nodes;
-      if (nodes > 5) {
-        point.rate_per_stack /= 2.0;
-        point.duration = kSecond / 2;
-      } else {
-        point.duration = kSecond;
-      }
-      for (const std::size_t shards : {1UL, 2UL, 4UL}) {
-        if (shards > nodes) continue;
-        FloodSpec sharded = point;
-        sharded.shards = shards;
-        const FloodResult r = best_of(sharded);
-        std::fprintf(stderr,
-                     "curve shards n=%-2zu s=%zu  %8.0f kev/s  "
-                     "%10llu events  %8llu barriers  %6llu stalls  (%.0f ms)\n",
-                     nodes, shards, r.events_per_sec() / 1e3,
-                     static_cast<unsigned long long>(r.events),
-                     static_cast<unsigned long long>(r.window_barriers),
-                     static_cast<unsigned long long>(r.window_stalls),
-                     r.wall_s * 1e3);
-        Json p = Json::object();
-        p.set("nodes", static_cast<std::uint64_t>(nodes));
-        p.set("shards", static_cast<std::uint64_t>(shards));
-        p.set("result", to_json(r));
-        shard_points.push(std::move(p));
-      }
     }
 
     // rt/socket curve: real UDP datagrams on loopback, sendmmsg/recvmmsg
@@ -630,7 +566,6 @@ int main(int argc, char** argv) {
 
     Json curve_doc = Json::object();
     curve_doc.set("sim", std::move(sim_points));
-    curve_doc.set("shards", std::move(shard_points));
     curve_doc.set("rt", std::move(rt_points));
     doc.set("curve", std::move(curve_doc));
   }

@@ -61,9 +61,6 @@ int usage(const char* argv0) {
       "  --repeat K           run the whole campaign K times and fail\n"
       "                       unless every run's JSON document is\n"
       "                       byte-identical (sim-engine specs only)\n"
-      "  --sim-shards S       override simulator event-engine shards for\n"
-      "                       every sim run (results are byte-identical at\n"
-      "                       every value; default: each spec's own)\n"
       "  --threads T          worker threads (default: hardware; 1 when\n"
       "                       any proc spec is selected)\n"
       "  --node-binary PATH   dpu_node binary for proc runs (default: next\n"
@@ -98,7 +95,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed_base = 1;
   std::uint64_t repeat = 1;
   std::size_t threads = 0;
-  std::size_t sim_shards = 0;  // 0: each spec's own
   int indent = 2;
   std::optional<Engine> engine_override;
   cluster::SupervisorOptions sup;
@@ -150,11 +146,6 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       repeat = std::strtoull(v, nullptr, 10);
       if (repeat == 0) return usage(argv[0]);
-    } else if (arg == "--sim-shards") {
-      const char* v = next_value();
-      if (v == nullptr) return usage(argv[0]);
-      sim_shards = std::strtoull(v, nullptr, 10);
-      if (sim_shards == 0) return usage(argv[0]);
     } else if (arg == "--threads") {
       const char* v = next_value();
       if (v == nullptr) return usage(argv[0]);
@@ -260,7 +251,6 @@ int main(int argc, char** argv) {
   // Proc runs share the data-plane port range and load the machine with n
   // processes each, so they must not overlap.
   options.threads = any_proc ? 1 : threads;
-  options.run.sim_shards = sim_shards;
   options.cancel = &g_cancel;
   options.run_fn = [&](const ScenarioSpec& spec, std::uint64_t seed) {
     if (spec.engine == Engine::kProc) return supervisor.run(spec, seed);

@@ -75,11 +75,11 @@ class LatencyCollector {
     return all_.count() ? static_cast<std::uint64_t>(all_.count()) : 0;
   }
 
-  /// Folds another collector's samples in.  The sharded simulator gives
-  /// every node its own collector (single-writer) and merges them post-run
-  /// in node order — OnlineStats accumulation is order-sensitive in the
-  /// last float bits, so a fixed merge order is what keeps result documents
-  /// byte-identical at every shard count.
+  /// Folds another collector's samples in.  The scenario runner gives every
+  /// node its own collector (single-writer on the rt engine's stack
+  /// threads) and merges them post-run in node order — OnlineStats
+  /// accumulation is order-sensitive in the last float bits, so a fixed
+  /// merge order keeps simulator result documents byte-identical.
   void merge(const LatencyCollector& other) {
     const std::lock_guard<std::mutex> lock(other.mutex_);
     all_.merge(other.all_);

@@ -47,8 +47,7 @@ void Rp2pModule::start() {
 
 void Rp2pModule::stop() {
   // Seal parked batches first (udp is still bound here): a message accepted
-  // by rp2p_send must have been transmitted at least once, exactly as on
-  // the unbatched path.
+  // by rp2p_send must have been transmitted at least once.
   flush_batches();
   retransmit_timer_.cancel();
   ack_timer_.cancel();
@@ -83,28 +82,10 @@ void Rp2pModule::rp2p_send(NodeId dst, ChannelId channel, Payload payload) {
   }
   PeerOut& peer = out_[dst];
   ++messages_sent_;
-  if (!config_.batching) {
-    // Ablation path: one datagram per message, serialized exactly once;
-    // every (re)transmission re-sends this shared buffer.  This is the
-    // only copy of the payload below rbcast.
-    const std::uint64_t seq = peer.next_seq++;
-    BufWriter w = udp->udp_frame(kRp2pPort, payload.size() + 24);
-    w.put_u8(kData);
-    w.put_varint(seq);
-    w.put_u64(channel);
-    w.put_blob(payload);
-    ++data_datagrams_;
-    auto [it, inserted] =
-        peer.unacked.emplace(seq, OutPacket{w.take_payload()});
-    assert(inserted);
-    (void)inserted;
-    transmit(dst, it->second);
-    return;
-  }
-  // Batched path: park the message (no copy — the Payload moves into the
-  // batch) and flush when the byte budget fills or the flush timer fires.
-  // The sealed datagram gets the sequence number, so reliability stays
-  // per-datagram and a retransmission resends the whole batch once.
+  // Park the message (no copy — the Payload moves into the batch) and flush
+  // when the byte budget fills or the flush timer fires.  The sealed
+  // datagram gets the sequence number, so reliability stays per-datagram
+  // and a retransmission resends the whole batch once.
   const std::size_t wire = batch_message_wire_size(payload.size());
   if (!peer.pending.empty() &&
       peer.pending_bytes + wire > config_.batch_max_bytes) {
@@ -350,28 +331,26 @@ void Rp2pModule::deliver(NodeId src, ChannelId channel,
   queue.emplace_back(src, payload);
 }
 
-void Rp2pModule::deliver_frame(NodeId src, const ReorderEntry& entry) {
-  if (!entry.batch) {
-    deliver(src, entry.channel, entry.payload);
-    return;
-  }
-  // Swap the scratch out for the duration of the delivery loop: a handler
-  // may re-enter this module (bind a channel and drain its pending queue,
-  // send messages, ...) and must not clobber the list being delivered.
-  std::vector<BatchMessage> messages;
-  messages.swap(batch_scratch_);
+void Rp2pModule::deliver_batch(NodeId src, const Payload& body) {
   try {
-    decode_batch_frame(entry.payload, messages);
+    decode_batch_frame(body, batch_scratch_);
   } catch (const CodecError& e) {
     // Unreachable for frames accepted by on_datagram (validated eagerly);
     // kept as a guard so a logic slip degrades to a dropped frame.
     DPU_LOG(kWarn, "rp2p") << "s" << env().node_id()
                            << " malformed batch from s" << src << ": "
                            << e.what();
-    messages.clear();
-    batch_scratch_.swap(messages);
     return;
   }
+  deliver_decoded(src);
+}
+
+void Rp2pModule::deliver_decoded(NodeId src) {
+  // Swap the scratch out for the duration of the delivery loop: a handler
+  // may re-enter this module (bind a channel and drain its pending queue,
+  // send messages, ...) and must not clobber the list being delivered.
+  std::vector<BatchMessage> messages;
+  messages.swap(batch_scratch_);
   for (const BatchMessage& m : messages) {
     deliver(src, m.channel, m.payload);
   }
@@ -399,26 +378,15 @@ void Rp2pModule::on_datagram(NodeId src, const Payload& data) {
       on_nack(src, from, to);
       return;
     }
-    if (type != kData && type != kBatch) {
-      throw CodecError("unknown rp2p message type");
-    }
+    if (type != kBatch) throw CodecError("unknown rp2p message type");
     const std::uint64_t seq = r.get_varint();
-    ReorderEntry entry;
-    entry.batch = (type == kBatch);
-    if (entry.batch) {
-      // Batch body = everything after the seq, as a zero-copy slice.
-      // Validate it eagerly (before the seq is consumed): a malformed batch
-      // is dropped like any other garbled datagram, and the normal loss
-      // machinery — NACK plus retransmission of the cached frame — can
-      // still repair the stream with an intact copy.
-      entry.payload = data.slice(data.size() - r.remaining());
-      decode_batch_frame(entry.payload, batch_scratch_);
-      batch_scratch_.clear();
-    } else {
-      entry.channel = r.get_u64();
-      entry.payload = r.get_blob_payload();  // zero-copy slice of the frame
-      r.expect_done();
-    }
+    // Batch body = everything after the seq, as a zero-copy slice.  Decode
+    // it eagerly (before the seq is consumed): a malformed batch is dropped
+    // like any other garbled datagram, and the normal loss machinery — NACK
+    // plus retransmission of the cached frame — can still repair the stream
+    // with an intact copy.  An in-order batch is delivered from this decode.
+    Payload body = data.slice(data.size() - r.remaining());
+    decode_batch_frame(body, batch_scratch_);
 
     if (src >= in_.size()) in_.resize(src + 1);
     const std::uint64_t epoch = seq_epoch(seq);
@@ -437,19 +405,19 @@ void Rp2pModule::on_datagram(NodeId src, const Payload& data) {
       // losses instead of waiting out its backed-off timer.  The gap is in
       // datagram sequence numbers, so a missing batch is one hole and its
       // fast retransmission is one datagram — never per-message duplicates.
-      peer.reorder.emplace(seq, std::move(entry));
+      peer.reorder.emplace(seq, std::move(body));
       note_gap(src, peer);
       note_ack_due(src, peer);
       return;
     }
     // In-order: deliver, then drain the reorder buffer.
     ++peer.next_expected;
-    deliver_frame(src, entry);
+    deliver_decoded(src);
     while (!peer.reorder.empty() &&
            peer.reorder.begin()->first == peer.next_expected) {
       auto node = peer.reorder.extract(peer.reorder.begin());
       ++peer.next_expected;
-      deliver_frame(src, node.mapped());
+      deliver_batch(src, node.mapped());
     }
     note_ack_due(src, peer);
   } catch (const CodecError& e) {

@@ -77,12 +77,6 @@ struct Rp2pConfig {
   bool respect_fd = true;
   /// Max buffered deliveries for a channel nobody has bound yet.
   std::size_t max_pending_per_channel = 100'000;
-  /// Batched packet path: pack messages to the same destination into one
-  /// datagram (net/batch.hpp frame) under batch_max_bytes, flushing when
-  /// the budget fills or batch_flush_ns elapses.  Off = the pre-batching
-  /// one-datagram-per-message path (kept as an ablation for benches and
-  /// apples-to-apples comparisons).
-  bool batching = true;
   /// Byte budget for the message section of one batch frame.  A single
   /// message larger than the budget still goes out, alone, as an oversized
   /// degenerate batch (the codec cannot split messages).
@@ -91,7 +85,8 @@ struct Rp2pConfig {
   /// company before the batch is flushed anyway.  Trades a bounded latency
   /// bump for fewer datagrams; must stay well below ack_delay and the
   /// network RTT so batching never masquerades as loss.  <= 0 flushes
-  /// every send immediately (batch framing without coalescing).
+  /// every send immediately: one one-message batch datagram per send, the
+  /// unbatched ablation benches compare against.
   Duration batch_flush_ns = 100 * kMicrosecond;
 };
 
@@ -126,8 +121,8 @@ class Rp2pModule final : public Module, public Rp2pApi {
   [[nodiscard]] std::uint64_t messages_delivered() const { return delivered_; }
   /// App messages accepted by rp2p_send (before batching).
   [[nodiscard]] std::uint64_t messages_sent() const { return messages_sent_; }
-  /// DATA datagrams serialized (each carries >= 1 message when batching;
-  /// exactly 1 otherwise).  messages_sent / data_datagrams_sent is the
+  /// DATA datagrams serialized (each carries >= 1 message; exactly 1 when
+  /// batch_flush_ns <= 0).  messages_sent / data_datagrams_sent is the
   /// achieved batching factor.
   [[nodiscard]] std::uint64_t data_datagrams_sent() const {
     return data_datagrams_;
@@ -162,7 +157,7 @@ class Rp2pModule final : public Module, public Rp2pApi {
   }
 
  private:
-  enum MsgType : std::uint8_t { kData = 0, kAck = 1, kNack = 2, kBatch = 3 };
+  enum MsgType : std::uint8_t { kAck = 1, kNack = 2, kBatch = 3 };
 
   struct OutPacket {
     /// Full engine-level datagram (UDP header + DATA frame), serialized
@@ -191,18 +186,12 @@ class Rp2pModule final : public Module, public Rp2pApi {
     bool batch_queued = false;
   };
 
-  /// One buffered receive-side frame: either a single message (legacy kData)
-  /// or an encoded batch body, decoded only when it becomes deliverable.
-  struct ReorderEntry {
-    bool batch = false;
-    ChannelId channel = 0;  ///< unused for batch frames
-    Payload payload;        ///< message payload, or encoded batch body
-  };
-
   struct PeerIn {
     std::uint64_t next_expected = 1;  // its epoch = the peer's stream epoch
     bool ack_due = false;
-    std::map<std::uint64_t, ReorderEntry> reorder;
+    /// Out-of-order batch bodies by sequence, decoded only when they
+    /// become deliverable.
+    std::map<std::uint64_t, Payload> reorder;
     /// NACK state: whether a gap check is queued, the gap front last
     /// reported, and when.
     bool nack_pending = false;
@@ -230,9 +219,11 @@ class Rp2pModule final : public Module, public Rp2pApi {
   /// [from, to).
   void on_nack(NodeId src, std::uint64_t from, std::uint64_t to);
   void deliver(NodeId src, ChannelId channel, const Payload& payload);
-  /// Delivers one in-order frame: a single message directly, a batch by
-  /// decoding its body and delivering each message in pack order.
-  void deliver_frame(NodeId src, const ReorderEntry& entry);
+  /// Delivers one in-order batch: decodes its body into batch_scratch_ and
+  /// delivers it.
+  void deliver_batch(NodeId src, const Payload& body);
+  /// Delivers the batch decoded into batch_scratch_, in pack order.
+  void deliver_decoded(NodeId src);
   /// Queues `dst` for the next batch-flush tick (arming the timer if idle).
   void note_batch_due(NodeId dst, PeerOut& peer);
   /// Flushes the parked batches of every queued destination.
@@ -266,8 +257,9 @@ class Rp2pModule final : public Module, public Rp2pApi {
   /// Peers with a parked batch awaiting the flush tick, in first-message
   /// order (deterministic flush order, like ack_queue_).
   std::vector<NodeId> batch_queue_;
-  /// Decode scratch reused across batch deliveries (swapped out during the
-  /// delivery loop so re-entrant handlers cannot alias it).
+  /// Decode scratch reused across batch deliveries: it holds the last
+  /// decoded batch (swapped out during the delivery loop so re-entrant
+  /// handlers cannot alias it).
   std::vector<BatchMessage> batch_scratch_;
   TimerSlot ack_timer_;
   TimerSlot nack_timer_;

@@ -5,13 +5,12 @@
 // datagram on a *stack's* timer heap, which had two problems: the delay
 // competed with protocol timers for the stack thread's attention (a busy
 // event loop skews the injected latency), and it created a cross-thread
-// dependency from the transport into a host's timer state — exactly the
-// kind of coupling the sharded simulator had to remove, and worth removing
-// here for the same reason.  The wheel owns one plain thread and a
-// deadline-ordered heap of closures; scheduling is mutex + condvar, and
-// the closures it runs (enqueue_packet / socket_send) are thread-safe
-// transport entry points, so no stack state is ever touched from the wheel
-// thread.
+// dependency from the transport into a host's timer state, which the
+// stack thread would then share with whichever thread sent the datagram.
+// The wheel owns one plain thread and a deadline-ordered heap of closures;
+// scheduling is mutex + condvar, and the closures it runs (enqueue_packet /
+// socket_send) are thread-safe transport entry points, so no stack state is
+// ever touched from the wheel thread.
 //
 // stop() joins the thread and DROPS whatever has not come due — matching
 // the old behavior of discarding a stopping stack's timer heap: a delayed

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 namespace dpu::scenario {
 
@@ -190,10 +191,29 @@ std::vector<std::string> ScenarioSpec::validate() const {
   }
   // The consensus substrate (and therefore every update mechanism) assumes
   // a correct majority; scenarios that kill one are specification bugs.
-  // Recoveries do not relax the rule: between crash and recovery the
-  // crashed set must still leave a live majority.  Late joiners count as
-  // down until they join, so they add to the crashed set here.
-  if ((crashed.size() + joining.size()) * 2 >= n) {
+  // The rule holds at every instant: a crash is down until its recovery
+  // (or the horizon), a late joiner until it joins.  Down intervals are
+  // closed, so a recovery and a crash at the same instant overlap.
+  std::vector<std::pair<TimePoint, TimePoint>> down;
+  for (const CrashFault& c : crashes) {
+    TimePoint until = horizon;
+    for (const RecoverFault& rec : recoveries) {
+      if (rec.node == c.node) until = rec.at;
+    }
+    down.emplace_back(c.at, until);
+  }
+  for (const LateJoin& lj : late_joins) down.emplace_back(0, lj.at);
+  // The largest overlap of closed intervals is reached at an interval start.
+  std::size_t most_down = 0;
+  for (const auto& d : down) {
+    const TimePoint at = d.first;
+    const auto overlapping = static_cast<std::size_t>(
+        std::count_if(down.begin(), down.end(), [at](const auto& o) {
+          return o.first <= at && at <= o.second;
+        }));
+    most_down = std::max(most_down, overlapping);
+  }
+  if (most_down * 2 >= n) {
     problem("crashes and late joins must leave a strict majority of "
             "stacks alive");
   }
@@ -418,12 +438,6 @@ std::vector<std::string> ScenarioSpec::validate() const {
     problem("fd_timeout must exceed fd_heartbeat (a timeout shorter than "
             "one heartbeat interval suspects every correct peer)");
   }
-
-  if (sim_shards == 0) problem("sim_shards must be >= 1 (use 1 for serial)");
-  if (sim_shards > n) {
-    problem("sim_shards exceeds n (shards own node subsets; extras would "
-            "idle)");
-  }
   return problems;
 }
 
@@ -581,10 +595,6 @@ Json ScenarioSpec::to_json() const {
   if (!rbcast_relay) j.set("rbcast_relay", rbcast_relay);
   if (rt_sockets) j.set("rt_sockets", rt_sockets);
 
-  // Off the wire at the default: sharding does not change results, and
-  // leaving it out keeps pre-existing spec documents byte-stable.
-  if (sim_shards != 1) j.set("sim_shards", sim_shards);
-
   j.set("max_retransmissions", max_retransmissions);
   return j;
 }
@@ -621,7 +631,7 @@ ScenarioSpec ScenarioSpec::from_json(const Json& j) {
               "net", "workload", "crashes", "recoveries", "late_joins",
               "partitions", "loss_windows", "updates", "policies", "cost",
               "fd_heartbeat_ns", "fd_timeout_ns", "rbcast_relay",
-              "rt_sockets", "sim_shards", "max_retransmissions"});
+              "rt_sockets", "max_retransmissions"});
   ScenarioSpec spec;
   if (const Json* v = j.find("name")) spec.name = v->as_string();
   if (const Json* v = j.find("description")) spec.description = v->as_string();
@@ -809,11 +819,6 @@ ScenarioSpec ScenarioSpec::from_json(const Json& j) {
     spec.rbcast_relay = v->as_bool();
   }
   if (const Json* v = j.find("rt_sockets")) spec.rt_sockets = v->as_bool();
-  if (const Json* v = j.find("sim_shards")) {
-    const std::int64_t raw = v->as_int();
-    if (raw < 1) throw std::runtime_error("scenario: sim_shards < 1");
-    spec.sim_shards = static_cast<std::size_t>(raw);
-  }
   if (const Json* v = j.find("max_retransmissions")) {
     const std::int64_t raw = v->as_int();
     if (raw < 0) throw std::runtime_error("scenario: max_retransmissions < 0");

@@ -284,11 +284,8 @@ struct ScenarioSpec {
   /// proc runs report comparable transport stats.  Off the wire when false.
   bool rt_sockets = false;
 
-  /// Simulator event-engine shards (kSim only; rt ignores it).  Results are
-  /// byte-identical at every value, so this is purely a throughput knob; the
-  /// engine clamps it to [1, n].  Off the wire when 1 to keep existing spec
-  /// documents and their digests unchanged.
-  std::size_t sim_shards = 1;
+  /// Kept only for bench/e2e/src/traced.cpp:637; the simulator is serial.
+  static constexpr std::size_t sim_shards = 1;
 
   /// Regression gate: fail the run when total rp2p retransmissions exceed
   /// this bound (0 = no gate).  Crash-heavy scenarios use it to pin down

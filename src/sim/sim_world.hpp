@@ -1,10 +1,10 @@
-// Deterministic discrete-event simulation engine, sharded per node.
+// Deterministic discrete-event simulation engine.
 //
 // SimWorld hosts N protocol stacks in one address space with a shared
 // virtual clock.  It provides, per DESIGN.md §2/§8:
 //
-//  * a per-shard event heap ordered by (virtual time, insertion sequence) —
-//    fully deterministic given the world seed;
+//  * one event heap ordered by (virtual time, insertion sequence) — fully
+//    deterministic given the world seed;
 //  * a network model: per-link latency drawn uniformly from a configured
 //    range, optional loss and duplication, a pluggable link filter for
 //    partitions, and directional per-link fault overrides (asymmetric loss,
@@ -17,42 +17,30 @@
 //  * fault injection: crash(node), crash-recovery (recover(node) restarts
 //    the stack with a bumped incarnation) and link filters (partitions).
 //
-// Execution model (conservative parallel DES).  Node `v` belongs to shard
-// `v % shards`; each shard owns its nodes' timer/closure/packet events in
-// its own pooled heap and advances them in synchronized windows:
+// Execution model.  One thread runs every event, in windows
+// `[T, T + lookahead)` where `T` is the earliest pending event and the
+// lookahead is `min_latency + send_cost_fixed`: a packet sent at `u`
+// departs no earlier than `u + send_cost_fixed` (the sender is charged
+// before the datagram leaves) and arrives no earlier than `min_latency`
+// later, so nothing sent inside a window is due inside it.  Sent packets
+// wait in a mailbox and enter the heap at the next window start in
+// `(deliver_time, src, dst, link_seq)` order.  That merge fixes their
+// insertion sequence — and so the tie-break among equal-time events — as a
+// function of the packets alone, and every recorded result depends on it.
+// Driver events (`at()`) run between windows, before node events at the
+// same timestamp.
 //
-//   round:  [drain mailboxes]  [barrier]  [agree on window]  [execute]
-//
-// The window is `[T, T + lookahead)` where `T` is the earliest pending
-// event anywhere and the lookahead is `min_latency + send_cost_fixed`: a
-// packet sent at `u` departs no earlier than `u + send_cost_fixed` (the
-// sender is charged before the datagram leaves) and arrives no earlier
-// than `min_latency` later, so nothing sent inside a window can be
-// delivered inside the same window.  Every packet — cross-shard or not —
-// is routed through the destination shard's mailbox and merged at the next
-// drain in `(deliver_time, src, dst, link_seq)` order, never in thread
-// arrival order.  Driver events (`at()`) run on the coordinating thread at
-// window barriers, before node events at the same timestamp.  Results are
-// byte-identical at every shard count: per-link RNG substreams make draws
-// placement-independent, the mailbox merge key makes arrival order
-// placement-independent, and each shard's clock is exact for its own
-// nodes.  shards=1 (the default) runs the same windowed algorithm inline
-// with no threads and no barrier traffic.
-//
-// All determinism derives from seeded substreams (util/rng.hpp).  The same
-// protocol code also runs on the multi-threaded real-time engine in
-// src/rt; drivers reach both through the WorldControl interface
-// (runtime/world.hpp).
+// All determinism derives from seeded substreams (util/rng.hpp), one per
+// link for the network draws.  The same protocol code also runs on the
+// multi-threaded real-time engine in src/rt; drivers reach both through
+// the WorldControl interface (runtime/world.hpp).
 #pragma once
 
-#include <atomic>
-#include <barrier>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <set>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -99,9 +87,7 @@ struct NetModelConfig {
 struct SimConfig {
   std::size_t num_stacks = 3;
   std::uint64_t seed = 1;
-  /// Event-engine shards (parallel workers).  Clamped to [1, num_stacks];
-  /// 1 (the default) runs the windowed engine inline with no threads.
-  /// Results are byte-identical at every value — see the header comment.
+  /// Must be 1; kept only for bench/e2e/src/traced.cpp:637.
   std::size_t shards = 1;
   NetModelConfig net;
   StackCostModel stack_cost;  ///< applied to every stack (service hop cost)
@@ -109,6 +95,7 @@ struct SimConfig {
 
 class SimWorld final : public WorldControl {
  public:
+  /// Throws std::invalid_argument unless `config.shards` is 1.
   explicit SimWorld(SimConfig config, const ProtocolLibrary* library = nullptr,
                     TraceSink* trace = nullptr);
   ~SimWorld() override;
@@ -118,20 +105,16 @@ class SimWorld final : public WorldControl {
 
   [[nodiscard]] std::size_t size() const override { return hosts_.size(); }
   [[nodiscard]] Stack& stack(NodeId node) override { return *stacks_[node]; }
-  /// Engine time.  Inside a node's event handler this is that node's shard
-  /// clock (the time of the event being executed); elsewhere it is the
-  /// driver clock (last barrier / end of the last run).
-  [[nodiscard]] TimePoint now() const override;
+  /// Engine time: the time of the event being executed, or of the last
+  /// driver step / run end outside events.
+  [[nodiscard]] TimePoint now() const override { return now_; }
   [[nodiscard]] const SimConfig& config() const { return config_; }
-  [[nodiscard]] std::size_t num_shards() const { return num_shards_; }
 
   // ---- Driver hooks --------------------------------------------------------
 
   /// Schedules a driver closure at absolute virtual time `t` (no CPU
-  /// accounting; use for test/bench orchestration).  Driver closures run on
-  /// the coordinating thread at a window barrier — before node events with
-  /// the same timestamp — so cross-stack mutations (crash, partitions,
-  /// loss) never race shard execution.
+  /// accounting; use for test/bench orchestration).  Driver closures run
+  /// between windows, before node events with the same timestamp.
   void at(TimePoint t, std::function<void()> fn) override;
 
   /// Schedules a closure on `node`'s executor at time `t`; runs with that
@@ -163,8 +146,7 @@ class SimWorld final : public WorldControl {
   [[nodiscard]] std::set<NodeId> crashed_set() const override;
 
   /// Installs a link filter: packets with filter(src,dst)==false are dropped.
-  /// Used for partitions; pass nullptr to heal.  Mutate only from driver
-  /// context (at() closures or between runs) — shards read it lock-free.
+  /// Used for partitions; pass nullptr to heal.
   void set_link_filter(
       std::function<bool(NodeId, NodeId)> deliverable) override {
     link_filter_ = std::move(deliverable);
@@ -173,7 +155,7 @@ class SimWorld final : public WorldControl {
   /// Adjusts the per-packet loss/duplication probabilities mid-run (applies
   /// to packets sent from now on).  The scenario engine uses this for
   /// bounded lossy-link windows; draws stay on the per-link substreams, so
-  /// runs remain deterministic.  Driver context only, like set_link_filter.
+  /// runs remain deterministic.
   void set_loss(double drop_probability,
                 double duplicate_probability) override {
     config_.net.drop_probability = drop_probability;
@@ -183,7 +165,7 @@ class SimWorld final : public WorldControl {
   /// Directional per-link override of the loss model; also adds the fault's
   /// extra_latency to every packet delivered on (src, dst).  Draws stay on
   /// the per-link substream, so installing/clearing overrides preserves
-  /// determinism.  Driver context only.
+  /// determinism.
   void set_link_fault(NodeId src, NodeId dst,
                       std::optional<LinkFault> fault) override;
 
@@ -195,7 +177,7 @@ class SimWorld final : public WorldControl {
                  std::uint64_t max_events = 500'000'000ULL);
 
   bool run_for(Duration d, std::uint64_t max_events = 500'000'000ULL) {
-    return run_until(driver_now_ + d, max_events);
+    return run_until(now_ + d, max_events);
   }
 
   /// WorldControl::run — deterministic replay to `deadline`; `active_until`
@@ -207,25 +189,17 @@ class SimWorld final : public WorldControl {
     return run_until(deadline, max_events);
   }
 
-  [[nodiscard]] std::uint64_t processed_events() const;
+  [[nodiscard]] std::uint64_t processed_events() const { return processed_; }
   /// Events re-queued because their stack was busy (processor-model
-  /// deferrals).  A hot-loop health metric for benches; the count depends
-  /// on shard grouping (heap composition differs), so it must never enter
-  /// byte-compared result documents.
-  [[nodiscard]] std::uint64_t deferrals() const;
-  [[nodiscard]] std::uint64_t packets_sent() const override;
-  [[nodiscard]] std::uint64_t packets_dropped() const override;
-  /// Synchronization rounds executed (windows + driver steps).  A pure
-  /// function of event timings, so identical at every shard count.
-  [[nodiscard]] std::uint64_t window_barriers() const {
-    return window_barriers_;
+  /// deferrals).  A hot-loop health metric for benches; it never enters
+  /// result documents.
+  [[nodiscard]] std::uint64_t deferrals() const { return deferrals_; }
+  [[nodiscard]] std::uint64_t packets_sent() const override {
+    return packets_sent_;
   }
-  /// Rounds that merged at least one mailbox packet.  Also
-  /// grouping-independent (mailbox traffic is every packet).
-  [[nodiscard]] std::uint64_t merge_batches() const { return merge_batches_; }
-  /// Windows in which a shard had pending work but executed nothing (its
-  /// events lay beyond the window).  Grouping-DEPENDENT — bench-only.
-  [[nodiscard]] std::uint64_t window_stalls() const;
+  [[nodiscard]] std::uint64_t packets_dropped() const override {
+    return packets_dropped_;
+  }
 
  private:
   class SimHost;
@@ -240,7 +214,7 @@ class SimWorld final : public WorldControl {
   /// and busy-deferral requeues move 32-byte PODs instead of running
   /// shared_ptr/std::function move constructors, which is where a saturated
   /// run spends most of its time.  Payloads and closures live in free-list
-  /// side pools indexed by `pool`, one pool set per shard.
+  /// side pools indexed by `pool`.
   /// kClosure = module-posted closure (dies with its incarnation);
   /// kDriver = at_node() control event (owned by the test/scenario
   /// driver — survives a crash-recovery purge, so an update scheduled on a
@@ -249,7 +223,7 @@ class SimWorld final : public WorldControl {
 
   struct Event {
     TimePoint time;
-    std::uint64_t seq;  // shard-local insertion order; total-order tiebreak
+    std::uint64_t seq;  // insertion order; total-order tiebreak
     NodeId node;
     EventKind kind;
     union {
@@ -271,11 +245,9 @@ class SimWorld final : public WorldControl {
     }
   };
 
-  /// A packet in transit between shards (or to the sender's own shard —
-  /// every packet takes this path, so arrival order is a pure function of
-  /// the key below, never of which shard produced it when).  `link_seq` is
-  /// the per-(src,dst) send counter: it orders same-time packets on one
-  /// link (including duplicate copies) and is placement-independent.
+  /// A sent packet waiting for the next window start.  `link_seq` is the
+  /// per-(src,dst) send counter: it orders same-time packets on one link,
+  /// including duplicate copies.
   struct MailboxEntry {
     TimePoint time;
     NodeId src;
@@ -313,9 +285,8 @@ class SimWorld final : public WorldControl {
     }
   };
 
-  /// Driver control event (at()): runs on the coordinating thread at a
-  /// window barrier.  Rare (scenario schedule), so a plain heap of
-  /// closures, no pooling.
+  /// Driver control event (at()).  Rare (scenario schedule), so a plain
+  /// heap of closures, no pooling.
   struct DriverEvent {
     TimePoint time;
     std::uint64_t seq;
@@ -328,132 +299,49 @@ class SimWorld final : public WorldControl {
     }
   };
 
-  /// One event-engine shard: owns the heaps, pools, clock and counters of
-  /// its nodes.  Cache-line aligned and heap-allocated individually so
-  /// concurrent shards never false-share.
-  struct alignas(64) Shard {
-    const SimWorld* owner = nullptr;
-    std::size_t index = 0;
-    std::vector<Event> heap;
-    EventPool<Payload> payloads;
-    EventPool<std::function<void()>> closures;
-    TimePoint now = 0;
-    std::uint64_t next_seq = 0;
-    std::uint64_t processed = 0;
-    std::uint64_t deferrals = 0;
-    std::uint64_t stalls = 0;
-    std::uint64_t packets_sent = 0;
-    std::uint64_t packets_dropped = 0;
-    /// Published in the drain phase, read by every thread after the
-    /// barrier: earliest pending event time, entries merged this round, and
-    /// the processed count as of the round start.  Phase 2 must read these
-    /// snapshots, never the live fields — a shard that clears phase 2 early
-    /// is already mutating `heap` and `processed` inside its window while
-    /// slower threads are still deciding.
-    TimePoint local_min = 0;
-    std::uint64_t drained = 0;
-    std::uint64_t published_processed = 0;
-    /// outbox[q]: packets produced by this shard for shard q during the
-    /// current window.  Drained (and cleared) by shard q at the next round
-    /// start; the two phases are barrier-separated, so single buffers
-    /// suffice.
-    std::vector<std::vector<MailboxEntry>> outbox;
-    std::vector<MailboxEntry> drain_scratch;
-  };
-
-  /// busy_until is indexed by node but written by the node's shard while
-  /// neighbours (node % shards interleaves them) are written by other
-  /// shards — pad to a cache line each.
-  struct alignas(64) PaddedTime {
-    TimePoint v = 0;
-  };
-
-  [[nodiscard]] std::size_t shard_of(NodeId node) const {
-    return static_cast<std::size_t>(node) % num_shards_;
-  }
-  [[nodiscard]] TimePoint current_now() const;
-
+  void push_heap(Event ev);
+  void sift_down_root();
+  Event pop_heap_top();
   void push_event(TimePoint t, NodeId node, std::function<void()> fn,
                   EventKind kind = EventKind::kClosure);
-  void push_packet_event(Shard& s, TimePoint t, NodeId dst, NodeId src,
-                         Payload payload);
   void push_timer_event(TimePoint t, NodeId node, TimerId id);
-  static void push_heap(Shard& s, Event ev);
-  static void sift_down_root(Shard& s);
-  static Event pop_heap_top(Shard& s);
-  void dispatch(Shard& s, const Event& ev);
-  static void discard(Shard& s, const Event& ev);
+  void dispatch(const Event& ev);
+  void discard(const Event& ev);
   void purge_node_events(NodeId node);
   void do_send_packet(NodeId src, NodeId dst, Payload data);
   void do_charge(NodeId node, Duration cost);
 
-  // ---- Round engine ---------------------------------------------------------
-
-  void round_loop(std::size_t shard_idx);
-  void drain_inboxes(Shard& s);
-  void exec_window(Shard& s, TimePoint h, std::uint64_t budget);
+  void merge_mailbox();
+  void run_window(TimePoint h, std::uint64_t max_events);
   void run_driver_step(TimePoint t);
-  void publish_driver_state();
-  void finish_run(TimePoint t_end);
-  void sync();  // barrier (no-op at shards=1)
-  void start_workers();
-  void worker_main(std::size_t shard_idx, std::uint64_t seen_epoch);
-  void flush_trace();
 
   SimConfig config_;
   const ProtocolLibrary* library_ = nullptr;  // kept for recover()
-  TraceSink* trace_ = nullptr;                // merge target; see trace_bufs_
-  std::size_t num_shards_ = 1;
+  TraceSink* trace_ = nullptr;                // kept for recover()
   Duration lookahead_ = 1;
-  /// Driver clock: advanced at driver steps and run end; the shard clocks
-  /// are authoritative inside node handlers (see now()).
-  TimePoint driver_now_ = 0;
+  TimePoint now_ = 0;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<Event> heap_;
+  EventPool<Payload> payloads_;
+  EventPool<std::function<void()>> closures_;
+  std::uint64_t next_seq_ = 0;
   std::vector<DriverEvent> driver_heap_;
   std::uint64_t driver_next_seq_ = 0;
-  std::uint64_t driver_processed_ = 0;
-  /// Barrier-separated snapshots of the driver heap front and processed
-  /// count for the replicated phase-2 decision.  Thread 0 re-publishes them
-  /// after every driver step (the step mutates the heap while workers are
-  /// already parked at the round barrier) and at job start; reading the
-  /// live heap in phase 2 would race with exactly those mutations.
-  TimePoint driver_min_pub_ = 0;
-  std::uint64_t driver_processed_pub_ = 0;
-  /// Packets sent from driver context (composition, at() closures, module
-  /// stop handlers): one outbox row per destination shard, merged together
-  /// with the shard outboxes at the next drain.
-  std::vector<std::vector<MailboxEntry>> driver_outbox_;
+  std::vector<MailboxEntry> mailbox_;
 
-  std::uint64_t window_barriers_ = 0;
-  std::uint64_t merge_batches_ = 0;
-
-  // Current job (valid while round_loop runs; written before the epoch
-  // bump that wakes the workers).
-  TimePoint job_t_end_ = 0;
-  std::uint64_t job_max_events_ = 0;
-  bool job_ok_ = true;
-
-  std::unique_ptr<std::barrier<>> barrier_;
-  std::vector<std::thread> workers_;  // shards 1..S-1; lazily started
-  std::atomic<std::uint64_t> job_epoch_{0};
-  std::atomic<bool> shutdown_{false};
+  std::uint64_t processed_ = 0;  // node and driver events
+  std::uint64_t deferrals_ = 0;
+  std::uint64_t packets_sent_ = 0;
+  std::uint64_t packets_dropped_ = 0;
 
   std::vector<std::unique_ptr<SimHost>> hosts_;
   std::vector<std::unique_ptr<Stack>> stacks_;
-  /// Per-node trace buffers (only when a sink is installed): stacks write
-  /// their own buffer — single-writer under sharding — and flush_trace()
-  /// merge-sorts everything into the real sink in (time, node, order)
-  /// order, which is placement-independent.
-  class NodeTraceBuf;
-  std::vector<std::unique_ptr<NodeTraceBuf>> trace_bufs_;
-  std::vector<PaddedTime> busy_until_;
+  std::vector<TimePoint> busy_until_;
   std::vector<bool> crashed_;
   /// World-global incarnation stamp handed to the next recovery (see
   /// recover(): stamps must outgrow every epoch any stack ever adopted).
   std::uint32_t next_incarnation_ = 1;
-  /// Per-link RNG substreams and per-link send counters.  Row `src` is
-  /// only touched when `src` sends — one writer per row under sharding.
+  /// Per-link RNG substreams and per-link send counters.
   LinkTable<Rng> link_rngs_;
   LinkTable<std::uint64_t> link_seqs_;
   std::function<bool(NodeId, NodeId)> link_filter_;

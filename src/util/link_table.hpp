@@ -7,10 +7,7 @@
 // no bounds checking; LinkTable centralizes the layout and asserts the
 // bounds once.
 //
-// Layout is row-major by src, so one sender's links are contiguous — on
-// the sharded simulator every row has a single writer (the shard owning
-// `src`), which keeps concurrent per-link mutation race-free without
-// locks.
+// Layout is row-major by src, so one sender's links are contiguous.
 #pragma once
 
 #include <cassert>

@@ -227,7 +227,7 @@ TEST(Rp2p, ImmediateAckModeAcksEveryDatagram) {
     UdpModule::create(world.stack(i));
     Rp2pModule::Config rc;
     rc.ack_delay = 0;   // coalescing off
-    rc.batching = false;  // ack-per-datagram ablation: 20 sends = 20 datagrams
+    rc.batch_flush_ns = 0;  // unbatched ablation: 20 sends = 20 datagrams
     rp2p.push_back(Rp2pModule::create(world.stack(i), kRp2pService, rc));
     world.stack(i).start_all();
   }
@@ -460,7 +460,7 @@ TEST(Rp2pBatch, AblationFlagRestoresOneDatagramPerMessage) {
   for (NodeId i = 0; i < 2; ++i) {
     UdpModule::create(world.stack(i));
     Rp2pModule::Config rc;
-    rc.batching = false;
+    rc.batch_flush_ns = 0;  // every send seals its own one-message batch
     rp2p.push_back(Rp2pModule::create(world.stack(i), kRp2pService, rc));
     world.stack(i).start_all();
   }

@@ -145,6 +145,26 @@ TEST(ScenarioRunner, RecoveryIntoQuietGroupStillConverges) {
   EXPECT_EQ(result.recovered, std::set<NodeId>{2});
 }
 
+TEST(ScenarioRunner, CrashAfterAnotherStacksRecoveryRunsCleanAndConverges) {
+  // At n = 3 the majority rule allows one stack down at a time, so a second
+  // crash is admitted once the first crashed stack has recovered.  The
+  // switch lands between the two crashes; the recovered stack must replay
+  // its way onto the new protocol before the other survivor goes down.
+  ScenarioSpec spec = small_spec("crash-recover-crash");
+  spec.duration = 6 * kSecond;
+  spec.crashes = {{kSecond, 1}, {4 * kSecond, 2}};
+  spec.recoveries = {{2 * kSecond, 1}};
+  spec.updates = {{3 * kSecond, 0, "abcast.seq"}};
+  const ScenarioResult result = run_scenario(spec, 43);
+  EXPECT_TRUE(result.ok()) << result.abcast_report.summary() << "\n"
+                           << result.generic_report.summary();
+  EXPECT_EQ(result.recovered, std::set<NodeId>{1});
+  EXPECT_EQ(result.crashed, std::set<NodeId>{2});
+  ASSERT_EQ(result.switch_windows.size(), 1u);
+  EXPECT_EQ(result.final_protocol[0], "abcast.seq");
+  EXPECT_EQ(result.final_protocol[1], "abcast.seq");
+}
+
 TEST(ScenarioRunner, UpdateScheduledOnRecoveredInitiatorStillFires) {
   // The update plan belongs to the scenario driver, not to a stack
   // incarnation: a node that crashes and recovers *before* its scheduled

@@ -229,6 +229,65 @@ TEST(ScenarioSpec, ValidationCatchesBadSchedules) {
   }
 }
 
+/// n = 3: the majority rule admits at most one stack down at any instant.
+ScenarioSpec three_stacks() {
+  ScenarioSpec spec;
+  spec.name = "three";
+  spec.n = 3;
+  spec.duration = 6 * kSecond;
+  spec.drain = 20 * kSecond;
+  spec.updates = {{3 * kSecond, 0, "abcast.seq"}};
+  return spec;
+}
+
+TEST(ScenarioSpec, MajorityRuleCountsStacksDownAtOneInstant) {
+  {
+    // A second crash after the first stack recovered never leaves two
+    // stacks down at once.
+    ScenarioSpec s = three_stacks();
+    s.crashes = {{kSecond, 1}, {4 * kSecond, 2}};
+    s.recoveries = {{2 * kSecond, 1}};
+    EXPECT_TRUE(s.validate().empty());
+    // The same with two switches and the second stack recovering too.
+    s.recoveries.push_back({5 * kSecond, 2});
+    s.updates.push_back({5500 * kMillisecond, 0, "abcast.ct"});
+    EXPECT_TRUE(s.validate().empty());
+  }
+  {
+    // Two crashes that overlap in time kill the majority.
+    ScenarioSpec s = three_stacks();
+    s.crashes = {{kSecond, 1}, {2 * kSecond, 2}};
+    s.recoveries = {{3 * kSecond, 1}};
+    EXPECT_FALSE(s.validate().empty());
+  }
+  {
+    // A crash and a recovery at the same instant count as overlapping.
+    ScenarioSpec s = three_stacks();
+    s.crashes = {{kSecond, 1}, {2 * kSecond, 2}};
+    s.recoveries = {{2 * kSecond, 1}};
+    EXPECT_FALSE(s.validate().empty());
+  }
+  {
+    // A stack that never recovers stays down to the horizon.
+    ScenarioSpec s = three_stacks();
+    s.crashes = {{kSecond, 1}, {5 * kSecond, 2}};
+    s.recoveries = {{5500 * kMillisecond, 2}};
+    EXPECT_FALSE(s.validate().empty());
+  }
+  {
+    // A late joiner is down until it joins, so it overlaps an earlier
+    // crash ...
+    ScenarioSpec s = three_stacks();
+    s.crashes = {{kSecond, 1}};
+    s.recoveries = {{4 * kSecond, 1}};
+    s.late_joins = {{2 * kSecond, 2}};
+    EXPECT_FALSE(s.validate().empty());
+    // ... but not one that starts after the join.
+    s.crashes = {{3 * kSecond, 1}};
+    EXPECT_TRUE(s.validate().empty());
+  }
+}
+
 TEST(ScenarioSpec, ValidationCoversServiceGenericUpdates) {
   {
     ScenarioSpec s = rich_spec();
