@@ -64,7 +64,9 @@ class Module {
 
 /// RAII one-shot timer owned by a module.  Re-scheduling cancels the
 /// previous shot; destruction cancels any pending shot, so a destroyed
-/// module can never receive a stale callback.
+/// module can never receive a stale callback.  A shot is either a timer
+/// (schedule) or an idle callback (schedule_idle, HostEnv::set_idle_timer);
+/// both are cancelled the same way.
 ///
 /// The callback is stored in the slot and the engine-facing wrapper only
 /// captures `this`, so arming a timer never heap-allocates (hot paths arm
@@ -81,13 +83,15 @@ class TimerSlot {
   void schedule(Duration after, std::function<void()> cb) {
     cancel();
     cb_ = std::move(cb);
-    id_ = host_->set_timer(after, [this]() {
-      // Move out before invoking: the callback may re-schedule this slot,
-      // which would otherwise assign cb_ while it is executing.
-      auto pending_cb = std::move(cb_);
-      id_ = kNoTimer;
-      pending_cb();
-    });
+    id_ = host_->set_timer(after, [this]() { fire(); });
+  }
+
+  /// Arms the shot for the stack's next idle point, replacing any pending
+  /// shot.
+  void schedule_idle(std::function<void()> cb) {
+    cancel();
+    cb_ = std::move(cb);
+    id_ = host_->set_idle_timer([this]() { fire(); });
   }
 
   void cancel() {
@@ -101,6 +105,14 @@ class TimerSlot {
   [[nodiscard]] bool pending() const { return id_ != kNoTimer; }
 
  private:
+  void fire() {
+    // Move out before invoking: the callback may re-schedule this slot,
+    // which would otherwise assign cb_ while it is executing.
+    auto pending_cb = std::move(cb_);
+    id_ = kNoTimer;
+    pending_cb();
+  }
+
   HostEnv* host_;
   TimerId id_ = kNoTimer;
   std::function<void()> cb_;

@@ -30,6 +30,7 @@ Rp2pModule::Rp2pModule(Stack& stack, std::string instance_name, Config config)
       ack_timer_(stack.host()),
       nack_timer_(stack.host()),
       batch_timer_(stack.host()),
+      idle_seal_(stack.host()),
       retransmit_timer_(stack.host()) {}
 
 void Rp2pModule::start() {
@@ -53,6 +54,7 @@ void Rp2pModule::stop() {
   ack_timer_.cancel();
   nack_timer_.cancel();
   batch_timer_.cancel();
+  idle_seal_.cancel();
   nack_queue_.clear();
   udp_.call([](UdpApi& udp) { udp.udp_release_port(kRp2pPort); });
   channels_.clear();
@@ -82,10 +84,11 @@ void Rp2pModule::rp2p_send(NodeId dst, ChannelId channel, Payload payload) {
   }
   PeerOut& peer = out_[dst];
   ++messages_sent_;
-  // Park the message (no copy — the Payload moves into the batch) and flush
-  // when the byte budget fills or the flush timer fires.  The sealed
-  // datagram gets the sequence number, so reliability stays per-datagram
-  // and a retransmission resends the whole batch once.
+  note_burst(peer);
+  // Park the message (no copy — the Payload moves into the batch) and seal
+  // when the byte budget fills, at the idle point or at the flush window.
+  // The sealed datagram gets the sequence number, so reliability stays
+  // per-datagram and a retransmission resends the whole batch once.
   const std::size_t wire = batch_message_wire_size(payload.size());
   if (!peer.pending.empty() &&
       peer.pending_bytes + wire > config_.batch_max_bytes) {
@@ -101,6 +104,16 @@ void Rp2pModule::rp2p_send(NodeId dst, ChannelId channel, Payload payload) {
   }
 }
 
+void Rp2pModule::note_burst(PeerOut& peer) {
+  if (peer.burst_epoch == idle_epoch_) return;  // same burst
+  peer.burst_epoch = idle_epoch_;
+  const TimePoint now = env().now();
+  if (peer.last_burst >= 0) {
+    peer.burst_gap += (now - peer.last_burst - peer.burst_gap) / 8;
+  }
+  peer.last_burst = now;
+}
+
 void Rp2pModule::note_batch_due(NodeId dst, PeerOut& peer) {
   if (!peer.batch_queued) {
     peer.batch_queued = true;
@@ -110,6 +123,27 @@ void Rp2pModule::note_batch_due(NodeId dst, PeerOut& peer) {
     batch_timer_.schedule(config_.batch_flush_ns,
                           [this]() { flush_batches(); });
   }
+  if (!idle_seal_.pending()) {
+    idle_seal_.schedule_idle([this]() { seal_sparse_batches(); });
+  }
+}
+
+void Rp2pModule::seal_sparse_batches() {
+  ++idle_epoch_;  // the next send on any link opens a new burst
+  std::vector<NodeId> due;
+  due.swap(batch_queue_);
+  for (const NodeId dst : due) {
+    PeerOut& peer = out_[dst];
+    if (peer.burst_gap < config_.batch_flush_ns) {
+      batch_queue_.push_back(dst);  // dense: company is likely; keep waiting
+      continue;
+    }
+    peer.batch_queued = false;
+    flush_batch(dst, peer);
+  }
+  // The window bounds the oldest parked message; with none left, the next
+  // parked message opens a fresh one.
+  if (batch_queue_.empty()) batch_timer_.cancel();
 }
 
 void Rp2pModule::flush_batches() {

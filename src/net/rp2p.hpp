@@ -12,11 +12,13 @@
 //    cached as a shared Payload, so retransmissions re-send the same buffer
 //    instead of re-encoding it.
 //  * Sends are batched (ROADMAP 2(a)): messages to the same destination
-//    pack into one datagram under a byte budget, flushed by size overflow
-//    or a short timer.  The *datagram* is the sequencing unit — one seq,
-//    one ack, one NACK hole, one retransmission per batch — so datagram,
-//    syscall and engine-event counts stop scaling with message count.
-//    See net/batch.hpp for the shared frame codec.
+//    pack into one datagram under a byte budget.  A batch is sealed when
+//    the budget fills, at the stack's next idle point if its link is
+//    sparse, or when the flush window expires (see batch_flush_ns).  The
+//    *datagram* is the sequencing unit — one seq, one ack, one NACK hole,
+//    one retransmission per batch — so datagram, syscall and engine-event
+//    counts stop scaling with message count.  See net/batch.hpp for the
+//    shared frame codec.
 //  * Cumulative acks are coalesced: deliveries mark the peer ack-due and a
 //    delayed-ack timer flushes one cumulative ack per dirty peer per
 //    window, instead of one ack datagram per in-order delivery.
@@ -81,9 +83,14 @@ struct Rp2pConfig {
   /// message larger than the budget still goes out, alone, as an oversized
   /// degenerate batch (the codec cannot split messages).
   std::size_t batch_max_bytes = 1200;
-  /// How long the first message parked in an empty batch may wait for
-  /// company before the batch is flushed anyway.  Trades a bounded latency
-  /// bump for fewer datagrams; must stay well below ack_delay and the
+  /// The longest a parked message waits before its batch is sealed.  A
+  /// batch is sealed earlier — at the stack's idle point (HostEnv::
+  /// set_idle_timer), once it has no other ready work — unless its link is
+  /// *dense*: its smoothed gap between bursts is below this window, so
+  /// company is likely and only dense links pay the window.  Pack under
+  /// load, send at once when idle (Friedman & van Renesse, "Packing
+  /// messages as a tool for boosting the performance of total ordering
+  /// protocols", HPDC 1997).  Must stay well below ack_delay and the
   /// network RTT so batching never masquerades as loss.  <= 0 flushes
   /// every send immediately: one one-message batch datagram per send, the
   /// unbatched ablation benches compare against.
@@ -184,6 +191,15 @@ class Rp2pModule final : public Module, public Rp2pApi {
     std::vector<BatchMessage> pending;
     std::size_t pending_bytes = 0;
     bool batch_queued = false;
+    /// Link density: an EWMA (weight 1/8, RFC 6298's SRTT gain) of the
+    /// gap between bursts — a burst being the first message sent on this
+    /// link since the previous idle point (idle_epoch_).  Per burst, not
+    /// per message: one burst's messages land microseconds apart and would
+    /// make every link look dense.  Links start sparse (1 s, far above any
+    /// window), so boot traffic is sealed at once.
+    Duration burst_gap = kSecond;
+    TimePoint last_burst = -1;
+    std::uint64_t burst_epoch = 0;
   };
 
   struct PeerIn {
@@ -224,9 +240,14 @@ class Rp2pModule final : public Module, public Rp2pApi {
   void deliver_batch(NodeId src, const Payload& body);
   /// Delivers the batch decoded into batch_scratch_, in pack order.
   void deliver_decoded(NodeId src);
-  /// Queues `dst` for the next batch-flush tick (arming the timer if idle).
+  /// Samples the burst gap of `peer` if this send opens a new burst.
+  void note_burst(PeerOut& peer);
+  /// Queues `dst` for sealing: arms the idle seal and the flush window.
   void note_batch_due(NodeId dst, PeerOut& peer);
-  /// Flushes the parked batches of every queued destination.
+  /// Idle point: seals the parked batches of every queued sparse link;
+  /// dense links wait for the flush window.
+  void seal_sparse_batches();
+  /// Flush window: seals the parked batches of every queued destination.
   void flush_batches();
   /// Seals `peer`'s parked batch into one DATA datagram and transmits it.
   void flush_batch(NodeId dst, PeerOut& peer);
@@ -254,9 +275,12 @@ class Rp2pModule final : public Module, public Rp2pApi {
   std::vector<NodeId> ack_queue_;
   /// Peers with a queued gap check, in detection order (deterministic).
   std::vector<NodeId> nack_queue_;
-  /// Peers with a parked batch awaiting the flush tick, in first-message
-  /// order (deterministic flush order, like ack_queue_).
+  /// Peers with a parked batch awaiting a seal, in first-message order
+  /// (deterministic flush order, like ack_queue_).
   std::vector<NodeId> batch_queue_;
+  /// Idle points seen so far (starts at 1 so a fresh link's first send
+  /// opens a burst).
+  std::uint64_t idle_epoch_ = 1;
   /// Decode scratch reused across batch deliveries: it holds the last
   /// decoded batch (swapped out during the delivery loop so re-entrant
   /// handlers cannot alias it).
@@ -264,6 +288,7 @@ class Rp2pModule final : public Module, public Rp2pApi {
   TimerSlot ack_timer_;
   TimerSlot nack_timer_;
   TimerSlot batch_timer_;
+  TimerSlot idle_seal_;
   TimerSlot retransmit_timer_;
   std::uint64_t delivered_ = 0;
   std::uint64_t messages_sent_ = 0;

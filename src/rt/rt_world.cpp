@@ -59,6 +59,15 @@ class RtWorld::RtHost final : public HostEnv {
     return id;
   }
 
+  TimerId set_idle_timer(std::function<void()> cb) override {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const TimerId id = ++next_timer_id_;
+    idle_.push_back(TimerEntry{id, std::move(cb)});
+    live_timers_.insert(id);
+    cv_.notify_all();
+    return id;
+  }
+
   void cancel_timer(TimerId id) override {
     const std::lock_guard<std::mutex> lock(mutex_);
     live_timers_.erase(id);
@@ -182,6 +191,7 @@ class RtWorld::RtHost final : public HostEnv {
     queue_.clear();
     tx_queue_.clear();
     timers_.clear();
+    idle_.clear();
     live_timers_.clear();
     packet_handler_ = nullptr;
     incarnation_.store(incarnation, std::memory_order_relaxed);
@@ -261,38 +271,54 @@ class RtWorld::RtHost final : public HostEnv {
 #endif
   }
 
+  /// One pass: the closures queued when the pass began (work they post
+  /// waits for the next pass, so a queue that never drains cannot starve
+  /// timers), then due timers, then — if that left the queue empty, the
+  /// stack's idle point — the idle callbacks, then one sendmmsg flush of
+  /// everything the pass put on the wire.  Sleeps only when nothing is
+  /// ready.
   void run_loop() {
     std::unique_lock<std::mutex> lock(mutex_);
-    while (running_.load() && !crashed()) {
-      // Fire due timers.
+    std::deque<std::function<void()>> pass;
+    std::vector<TimerEntry> idle;
+    const auto live = [this]() { return running_.load() && !crashed(); };
+    while (live()) {
+      pass.swap(queue_);
+      while (!pass.empty() && live()) {
+        auto fn = std::move(pass.front());
+        pass.pop_front();
+        lock.unlock();
+        fn();
+        lock.lock();
+      }
       const TimePoint t = now();
-      while (!timers_.empty() && timers_.begin()->first <= t) {
+      while (!timers_.empty() && timers_.begin()->first <= t && live()) {
         auto node = timers_.extract(timers_.begin());
         TimerEntry& entry = node.mapped();
-        const bool live = live_timers_.erase(entry.id) > 0;
-        if (!live) continue;
+        if (live_timers_.erase(entry.id) == 0) continue;  // cancelled
         lock.unlock();
         entry.cb();
         lock.lock();
       }
-      // Drain posted events.
-      while (!queue_.empty()) {
-        auto fn = std::move(queue_.front());
-        queue_.pop_front();
-        lock.unlock();
-        fn();
-        lock.lock();
-        if (!running_.load() || crashed()) break;
+      if (queue_.empty()) {
+        // Callbacks armed while these run wait for the next idle point.
+        idle.swap(idle_);
+        for (TimerEntry& entry : idle) {
+          if (!live()) break;
+          if (live_timers_.erase(entry.id) == 0) continue;  // cancelled
+          lock.unlock();
+          entry.cb();
+          lock.lock();
+        }
+        idle.clear();
       }
-      if (!running_.load() || crashed()) break;
-      // Everything this iteration's callbacks put on the wire goes out in
-      // one sendmmsg before the loop sleeps.
+      if (!live()) break;
       if (!tx_queue_.empty()) {
         lock.unlock();
         flush_socket_tx();
         lock.lock();
-        continue;  // re-check timers/queue: the flush took real time
       }
+      if (!queue_.empty() || !idle_.empty()) continue;
       // Sleep until the next timer or a new event.
       if (timers_.empty()) {
         cv_.wait(lock);
@@ -435,6 +461,9 @@ class RtWorld::RtHost final : public HostEnv {
   /// Outbound datagrams staged for the next sendmmsg flush (mutex_).
   std::vector<TxDatagram> tx_queue_;
   std::multimap<TimePoint, TimerEntry> timers_;
+  /// Idle callbacks awaiting the next idle point, in arming order.
+  std::vector<TimerEntry> idle_;
+  /// Ids of the armed (not fired, not cancelled) timers and idle callbacks.
   std::unordered_set<TimerId> live_timers_;
   TimerId next_timer_id_ = 0;
   std::atomic<bool> running_{false};

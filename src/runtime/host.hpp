@@ -6,8 +6,8 @@
 // experiments and real multi-threaded deployments (DESIGN.md §2).
 //
 // Threading model: a stack is a single-threaded event processor.  The engine
-// guarantees that timer callbacks, packet deliveries and post()ed closures
-// for one stack never run concurrently, so modules need no locks (Core
+// guarantees that timer and idle callbacks, packet deliveries and post()ed
+// closures for one stack never run concurrently, so modules need no locks (Core
 // Guidelines CP.3: minimize explicit sharing).
 #pragma once
 
@@ -77,7 +77,18 @@ class HostEnv {
   /// handle usable with cancel_timer.  `after` is clamped to >= 0.
   virtual TimerId set_timer(Duration after, std::function<void()> cb) = 0;
 
-  /// Cancels a pending timer; no-op if it already fired or was cancelled.
+  /// One-shot idle callback: runs on this stack's executor at its next
+  /// *idle point* — once the stack has no other ready work.  The simulator
+  /// runs it after every event of this stack due at or before the stack's
+  /// busy horizon (including events deferred behind it); the real-time
+  /// engine runs it after an event-loop pass leaves the queue empty, before
+  /// flushing staged datagrams and sleeping.  Unlike post() or a zero-delay
+  /// timer, it waits out a backlog instead of running behind the work
+  /// already queued.  Cancel with cancel_timer.
+  virtual TimerId set_idle_timer(std::function<void()> cb) = 0;
+
+  /// Cancels a pending timer or idle callback; no-op if it already fired
+  /// or was cancelled.
   virtual void cancel_timer(TimerId id) = 0;
 
   /// Sends an unreliable datagram to `dst` (may be dropped, duplicated or

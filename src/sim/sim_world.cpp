@@ -55,22 +55,17 @@ class SimWorld::SimHost final : public HostEnv {
   // beyond the caller's own closure (amortized).  Generations invalidate
   // stale heap events after cancel/fire, including across slot reuse.
   TimerId set_timer(Duration after, std::function<void()> cb) override {
-    std::uint32_t slot;
-    if (!timer_free_.empty()) {
-      slot = timer_free_.back();
-      timer_free_.pop_back();
-    } else {
-      slot = static_cast<std::uint32_t>(timer_cells_.size());
-      timer_cells_.emplace_back();
-    }
-    TimerCell& cell = timer_cells_[slot];
-    cell.cb = std::move(cb);
-    cell.armed = true;
-    // Slot is offset by one so a TimerId can never be kNoTimer (0).
-    const TimerId id =
-        (static_cast<TimerId>(cell.generation) << 32) | (slot + 1);
+    const TimerId id = arm_cell(std::move(cb));
     world_->push_timer_event(world_->now_ + std::max<Duration>(after, 0),
-                             node_, id);
+                             node_, id, EventKind::kTimer);
+    return id;
+  }
+
+  // An idle callback is a timer cell whose event sorts after every
+  // non-idle event at its time; the busy deferral does the rest.
+  TimerId set_idle_timer(std::function<void()> cb) override {
+    const TimerId id = arm_cell(std::move(cb));
+    world_->push_timer_event(world_->now_, node_, id, EventKind::kIdle);
     return id;
   }
 
@@ -123,6 +118,23 @@ class SimWorld::SimHost final : public HostEnv {
     std::uint32_t generation = 0;
     bool armed = false;
   };
+
+  /// Stores `cb` in a free cell and returns its (generation, slot) handle.
+  TimerId arm_cell(std::function<void()> cb) {
+    std::uint32_t slot;
+    if (!timer_free_.empty()) {
+      slot = timer_free_.back();
+      timer_free_.pop_back();
+    } else {
+      slot = static_cast<std::uint32_t>(timer_cells_.size());
+      timer_cells_.emplace_back();
+    }
+    TimerCell& cell = timer_cells_[slot];
+    cell.cb = std::move(cb);
+    cell.armed = true;
+    // Slot is offset by one so a TimerId can never be kNoTimer (0).
+    return (static_cast<TimerId>(cell.generation) << 32) | (slot + 1);
+  }
 
   TimerCell* resolve_timer(TimerId id) {
     const auto slot_plus_one = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
@@ -238,12 +250,13 @@ void SimWorld::push_event(TimePoint t, NodeId node, std::function<void()> fn,
   push_heap(ev);
 }
 
-void SimWorld::push_timer_event(TimePoint t, NodeId node, TimerId id) {
+void SimWorld::push_timer_event(TimePoint t, NodeId node, TimerId id,
+                                EventKind kind) {
   Event ev{};
   ev.time = t;
   ev.seq = next_seq_++;
   ev.node = node;
-  ev.kind = EventKind::kTimer;
+  ev.kind = kind;
   ev.timer = id;
   push_heap(ev);
 }
@@ -274,14 +287,14 @@ void SimWorld::crash(NodeId node) {
 }
 
 /// Removes every pending event belonging to `node`'s dying incarnation: its
-/// timers and module-posted closures (their captures dangle once the Stack
-/// is destroyed — and a stale timer event could collide with a (slot,
-/// generation) pair the new incarnation hands out again), and packets in
-/// flight to it, both heaped and still in the mailbox.  Driver control
-/// events (kDriver) are deliberately kept: they belong to the scenario
-/// schedule, not to the incarnation, so an update planned for after the
-/// recovery still fires.  Linear scan + re-heapify — recovery is a rare
-/// fault event, not a hot path.
+/// timers, idle callbacks and module-posted closures (their captures dangle
+/// once the Stack is destroyed — and a stale timer event could collide with
+/// a (slot, generation) pair the new incarnation hands out again), and
+/// packets in flight to it, both heaped and still in the mailbox.  Driver
+/// control events (kDriver) are deliberately kept: they belong to the
+/// scenario schedule, not to the incarnation, so an update planned for
+/// after the recovery still fires.  Linear scan + re-heapify — recovery is
+/// a rare fault event, not a hot path.
 void SimWorld::purge_node_events(NodeId node) {
   std::size_t kept = 0;
   for (std::size_t i = 0; i < heap_.size(); ++i) {
@@ -404,6 +417,7 @@ void SimWorld::dispatch(const Event& ev) {
       break;
     }
     case EventKind::kTimer:
+    case EventKind::kIdle:
       hosts_[ev.node]->fire_timer(ev.timer);
       break;
   }
@@ -419,6 +433,7 @@ void SimWorld::discard(const Event& ev) {
       (void)payloads_.release(ev.att.pool);
       break;
     case EventKind::kTimer:
+    case EventKind::kIdle:
       break;  // the timer cell stays armed; crashed stacks never fire it
   }
 }

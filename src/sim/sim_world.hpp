@@ -28,7 +28,8 @@
 // insertion sequence — and so the tie-break among equal-time events — as a
 // function of the packets alone, and every recorded result depends on it.
 // Driver events (`at()`) run between windows, before node events at the
-// same timestamp.
+// same timestamp.  A stack's idle callbacks run after all of its other
+// events due at or before its busy horizon (see EventAfter).
 //
 // All determinism derives from seeded substreams (util/rng.hpp), one per
 // link for the network draws.  The same protocol code also runs on the
@@ -218,8 +219,12 @@ class SimWorld final : public WorldControl {
   /// kClosure = module-posted closure (dies with its incarnation);
   /// kDriver = at_node() control event (owned by the test/scenario
   /// driver — survives a crash-recovery purge, so an update scheduled on a
-  /// node that recovers in between still fires).
-  enum class EventKind : std::uint8_t { kClosure, kDriver, kPacket, kTimer };
+  /// node that recovers in between still fires); kIdle = an idle callback
+  /// (HostEnv::set_idle_timer): a timer cell like kTimer, ordered after
+  /// every non-idle event at the same time (EventAfter).
+  enum class EventKind : std::uint8_t {
+    kClosure, kDriver, kPacket, kTimer, kIdle
+  };
 
   struct Event {
     TimePoint time;
@@ -227,7 +232,7 @@ class SimWorld final : public WorldControl {
     NodeId node;
     EventKind kind;
     union {
-      TimerId timer;  // kTimer: pooled timer handle
+      TimerId timer;  // kTimer/kIdle: pooled timer handle
       struct {
         NodeId src;           // kPacket: sending stack
         std::uint32_t pool;   // kPacket/kClosure: side-pool slot
@@ -237,10 +242,16 @@ class SimWorld final : public WorldControl {
   static_assert(std::is_trivially_copyable_v<Event>);
   static_assert(sizeof(Event) == 32);
 
+  /// Idle events sort after every non-idle event at their time.  With the
+  /// busy deferral (run_window), which re-stamps a busy node's events to
+  /// its busy horizon, an idle event therefore runs only once its node has
+  /// no non-idle event due at or before that horizon.
   struct EventAfter {
     bool operator()(const Event& a, const Event& b) const {
       // std::*_heap builds a max-heap; invert to pop the earliest event.
       if (a.time != b.time) return a.time > b.time;
+      const bool a_idle = a.kind == EventKind::kIdle;
+      if (a_idle != (b.kind == EventKind::kIdle)) return a_idle;
       return a.seq > b.seq;
     }
   };
@@ -304,7 +315,8 @@ class SimWorld final : public WorldControl {
   Event pop_heap_top();
   void push_event(TimePoint t, NodeId node, std::function<void()> fn,
                   EventKind kind = EventKind::kClosure);
-  void push_timer_event(TimePoint t, NodeId node, TimerId id);
+  void push_timer_event(TimePoint t, NodeId node, TimerId id,
+                        EventKind kind);
   void dispatch(const Event& ev);
   void discard(const Event& ev);
   void purge_node_events(NodeId node);

@@ -176,9 +176,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CtConsensusChaosTest,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
 
 TEST(CtConsensus, CoordinatorProposeToAllIsOneRp2pCrossing) {
-  // rp2p parks messages until its flush timer, so inside one event the stack
-  // CPU charged (hop cost per service crossing) counts exactly the
-  // crossings.  Stack 0 coordinates round 0 and, skipping phase 1, sends its
+  // rp2p parks messages until the stack's idle point (or its flush window),
+  // so inside one event the stack CPU charged (hop cost per service
+  // crossing) counts exactly the crossings.  Stack 0 coordinates round 0 and, skipping phase 1, sends its
   // proposal to all three stacks at once.
   constexpr Duration kHop = kMicrosecond;
   SimConfig config{.num_stacks = 3, .seed = 14};

@@ -143,8 +143,9 @@ TEST(Rbcast, SurvivesHeavyLoss) {
   }
 }
 
-// rp2p parks messages until its flush timer, so inside one event the stack
-// CPU charged (hop cost per service crossing) counts exactly the crossings.
+// rp2p parks messages until the stack's idle point (or its flush window), so
+// inside one event the stack CPU charged (hop cost per service crossing)
+// counts exactly the crossings.
 constexpr Duration kHop = kMicrosecond;
 
 TEST(Rbcast, BroadcastToAllIsOneRp2pCrossing) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "net/udp_module.hpp"
 #include "sim/sim_world.hpp"
 
@@ -394,8 +396,10 @@ TEST(Rp2pBatch, ByteBudgetSplitsAndOversizedMessageTravelsAlone) {
 }
 
 TEST(Rp2pBatch, FlushTimerSendsLoneMessageWithoutCompany) {
-  // A single message with no follow-up must still leave within the flush
-  // window — batching trades bounded latency, never liveness.
+  // A single message with no follow-up must still leave: on a sparse link
+  // at the sender's idle point, and never later than the flush window,
+  // which is the dense-link bound — batching trades bounded latency, never
+  // liveness.
   Rig rig(SimConfig{.num_stacks = 2, .seed = 23});
   std::vector<std::string> got;
   rig.rp2p[1]->rp2p_bind_channel(kChan, [&](NodeId, const Payload& p) {
@@ -407,6 +411,64 @@ TEST(Rp2pBatch, FlushTimerSendsLoneMessageWithoutCompany) {
   // Flush window (100us) + network latency (<100us) + slack.
   rig.world.run_for(5 * kMillisecond);
   EXPECT_EQ(got, (std::vector<std::string>{"lone"}));
+  EXPECT_EQ(rig.rp2p[0]->retransmissions(), 0u);
+}
+
+TEST(Rp2pBatch, LoneMessageOnAQuietLinkIsSealedAtTheIdlePoint) {
+  // A quiet link is sparse, so its batch is sealed as soon as the sender
+  // has no other ready work: the message beats the flush window plus the
+  // minimum network latency, which waiting out the window cannot.
+  Rig rig(SimConfig{.num_stacks = 2, .seed = 26});
+  TimePoint sent_at = -1;
+  TimePoint got_at = -1;
+  rig.rp2p[1]->rp2p_bind_channel(kChan, [&](NodeId, const Payload&) {
+    got_at = rig.world.now();
+  });
+  rig.world.at_node(kMillisecond, 0, [&]() {
+    sent_at = rig.world.now();
+    rig.rp2p[0]->rp2p_send(1, kChan, Payload(std::string_view("lone")));
+  });
+  rig.world.run_for(5 * kMillisecond);
+  ASSERT_GE(got_at, 0);
+  EXPECT_LT(got_at - sent_at,
+            Rp2pConfig{}.batch_flush_ns + NetModelConfig{}.min_latency);
+  EXPECT_EQ(rig.rp2p[0]->data_datagrams_sent(), 1u);
+}
+
+TEST(Rp2pBatch, DenseLinkStillPacksWithinTheFlushWindow) {
+  // One message per 20 us: the sender goes idle between sends, but the
+  // link's smoothed gap between bursts drops below the 100 us window, so
+  // the link turns dense and its batches wait out the window again.
+  Rig rig(SimConfig{.num_stacks = 2, .seed = 27});
+  constexpr int kMessages = 1000;
+  constexpr Duration kGap = 20 * kMicrosecond;
+  std::vector<int> got;
+  Duration worst = 0;
+  rig.rp2p[1]->rp2p_bind_channel(kChan, [&](NodeId, const Payload& p) {
+    BufReader r(p);
+    const int i = static_cast<int>(r.get_u32());
+    got.push_back(i);
+    worst = std::max(worst, rig.world.now() - (kMillisecond + i * kGap));
+  });
+  for (int i = 0; i < kMessages; ++i) {
+    rig.world.at_node(kMillisecond + i * kGap, 0, [&rig, i]() {
+      BufWriter w;
+      w.put_u32(static_cast<std::uint32_t>(i));
+      rig.rp2p[0]->rp2p_send(1, kChan, w.take());
+    });
+  }
+  rig.world.run_for(kSecond);
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kMessages));
+  for (int i = 0; i < kMessages; ++i) {
+    EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
+  }
+  EXPECT_EQ(rig.rp2p[0]->messages_sent(), static_cast<std::uint64_t>(kMessages));
+  EXPECT_LE(rig.rp2p[0]->data_datagrams_sent() * 3,
+            static_cast<std::uint64_t>(kMessages));
+  // The window still bounds the wait: flush window + network latency +
+  // a few CPU costs on each side.
+  EXPECT_LT(worst, Rp2pConfig{}.batch_flush_ns +
+                       NetModelConfig{}.max_latency + 50 * kMicrosecond);
   EXPECT_EQ(rig.rp2p[0]->retransmissions(), 0u);
 }
 

@@ -204,6 +204,81 @@ TEST(RtWorld, CrashStopsAStackAndSurvivorsContinue) {
   EXPECT_TRUE(report.ok) << report.summary();
 }
 
+/// The rt idle point: an idle callback waits until an event-loop pass
+/// leaves the queue empty — here, until a chain of closures that each post
+/// the next one has run to its end.
+TEST(RtWorld, IdleCallbackRunsOnlyAfterTheQueueDrains) {
+  RtWorld world(RtConfig{.num_stacks = 1, .seed = 1});
+  world.start();
+  HostEnv& host = world.stack(0).host();
+  constexpr int kChain = 100;
+  std::vector<int> order;  // stack thread only until stop()
+  std::atomic<bool> idle_ran{false};
+  std::function<void(int)> link = [&](int i) {
+    order.push_back(i);
+    if (i + 1 < kChain) host.post([&link, i]() { link(i + 1); });
+  };
+  world.call_on(0, [&]() {
+    host.set_idle_timer([&]() {
+      order.push_back(-1);
+      idle_ran.store(true);
+    });
+    host.post([&link]() { link(0); });
+  });
+  const bool ran =
+      wait_until([&]() { return idle_ran.load(); }, 5 * kSecond);
+  world.stop();
+  ASSERT_TRUE(ran);
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kChain + 1));
+  EXPECT_EQ(order.back(), -1);
+}
+
+TEST(RtWorld, CancelledIdleCallbackNeverRuns) {
+  RtWorld world(RtConfig{.num_stacks = 1, .seed = 1});
+  world.start();
+  HostEnv& host = world.stack(0).host();
+  std::atomic<bool> cancelled_ran{false};
+  std::atomic<bool> kept_ran{false};
+  world.call_on(0, [&]() {
+    const TimerId id =
+        host.set_idle_timer([&]() { cancelled_ran.store(true); });
+    host.set_idle_timer([&]() { kept_ran.store(true); });
+    host.cancel_timer(id);
+  });
+  const bool ran =
+      wait_until([&]() { return kept_ran.load(); }, 5 * kSecond);
+  world.stop();
+  ASSERT_TRUE(ran);
+  EXPECT_FALSE(cancelled_ran.load());
+}
+
+/// A stack whose queue never drains (a closure that re-posts itself) must
+/// still fire its timers: each loop pass runs only the closures queued when
+/// it began, then the due timers.
+TEST(RtWorld, TimersFireWhileTheQueueNeverDrains) {
+  RtWorld world(RtConfig{.num_stacks = 1, .seed = 1});
+  world.start();
+  HostEnv& host = world.stack(0).host();
+  std::atomic<bool> spinning{true};
+  std::atomic<TimePoint> fired_after{-1};
+  std::function<void()> spin = [&]() {
+    if (spinning.load()) host.post(spin);
+  };
+  world.call_on(0, [&]() {
+    const TimePoint armed = host.now();
+    host.set_timer(kMillisecond, [&, armed]() {
+      fired_after.store(host.now() - armed);
+    });
+    host.post(spin);
+  });
+  const bool fired =
+      wait_until([&]() { return fired_after.load() >= 0; }, 5 * kSecond);
+  spinning.store(false);
+  world.stop();
+  ASSERT_TRUE(fired);
+  EXPECT_LT(fired_after.load(), 100 * kMillisecond);
+}
+
 TEST(RtWorld, CallOnRunsOnStackThreadAndBlocks) {
   RtRig rig(RtConfig{.num_stacks = 2, .seed = 6});
   std::atomic<int> value{0};

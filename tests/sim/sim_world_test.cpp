@@ -80,6 +80,92 @@ TEST(SimWorld, PostRunsAfterCurrentEvent) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+/// The idle point: an idle callback armed while the stack is busy runs only
+/// after every other event of that stack due at or before its busy horizon,
+/// including events deferred behind the horizon and the horizon growth
+/// those events charge.
+TEST(SimWorld, IdleCallbackRunsAfterEveryEventDueByTheBusyHorizon) {
+  SimWorld world(SimConfig{.num_stacks = 1, .seed = 1});
+  HostEnv& host = world.stack(0).host();
+  std::vector<std::pair<std::string, TimePoint>> order;
+  const auto note = [&](const char* what) {
+    order.emplace_back(what, host.now());
+  };
+  host.set_timer(11500 * kMicrosecond, [&]() { note("c"); });
+  host.set_timer(20 * kMillisecond, [&]() { note("late"); });
+  world.at_node(kMillisecond, 0, [&]() {
+    note("a");
+    host.charge(10 * kMillisecond);  // busy until 11 ms
+    host.set_idle_timer([&]() { note("idle"); });
+    host.set_timer(4 * kMillisecond, [&]() {
+      note("b");
+      host.charge(kMillisecond);  // busy until 12 ms
+    });
+  });
+  world.run_for(kSecond);
+  const std::vector<std::pair<std::string, TimePoint>> expected{
+      {"a", kMillisecond},          {"b", 11 * kMillisecond},
+      {"c", 12 * kMillisecond},     {"idle", 12 * kMillisecond},
+      {"late", 20 * kMillisecond}};
+  EXPECT_EQ(order, expected);
+}
+
+/// Idle events sort after every non-idle event at their time; among
+/// themselves, and among the non-idle events, insertion order still holds.
+TEST(SimWorld, SameTimeNonIdleEventsKeepTheirOrderAheadOfIdleCallbacks) {
+  SimWorld world(SimConfig{.num_stacks = 1, .seed = 1});
+  HostEnv& host = world.stack(0).host();
+  std::vector<std::string> order;
+  world.at_node(kMillisecond, 0, [&]() {
+    host.set_idle_timer([&]() { order.push_back("i1"); });
+    host.post([&]() { order.push_back("p1"); });
+    host.set_timer(0, [&]() { order.push_back("t1"); });
+    host.set_idle_timer([&]() { order.push_back("i2"); });
+    host.post([&]() { order.push_back("p2"); });
+  });
+  world.run_for(kSecond);
+  EXPECT_EQ(order, (std::vector<std::string>{"p1", "t1", "p2", "i1", "i2"}));
+}
+
+TEST(SimWorld, CancelledIdleCallbackNeverRuns) {
+  SimWorld world(SimConfig{.num_stacks = 1, .seed = 1});
+  HostEnv& host = world.stack(0).host();
+  bool cancelled_ran = false;
+  bool kept_ran = false;
+  world.at_node(kMillisecond, 0, [&]() {
+    const TimerId id = host.set_idle_timer([&]() { cancelled_ran = true; });
+    host.set_idle_timer([&]() { kept_ran = true; });
+    host.cancel_timer(id);
+  });
+  world.run_for(kSecond);
+  EXPECT_FALSE(cancelled_ran);
+  EXPECT_TRUE(kept_ran);
+}
+
+/// An idle callback still pending when its stack crashes belongs to the
+/// dead incarnation: recovery purges it, so it can neither run nor fire a
+/// timer the new incarnation arms in the same (slot, generation) cell.
+TEST(SimWorld, IdleCallbackPendingAtACrashNeverReachesTheNewIncarnation) {
+  SimWorld world(SimConfig{.num_stacks = 1, .seed = 1});
+  bool old_idle_ran = false;
+  std::vector<TimePoint> new_fired;
+  world.at_node(kMillisecond, 0, [&]() {
+    HostEnv& host = world.stack(0).host();
+    host.charge(10 * kMillisecond);  // the idle point is at 11 ms
+    host.set_idle_timer([&]() { old_idle_ran = true; });
+  });
+  world.at(5 * kMillisecond, [&]() { world.crash(0); });
+  world.at(6 * kMillisecond, [&]() {
+    world.recover(0);
+    HostEnv& host = world.stack(0).host();
+    host.set_timer(50 * kMillisecond,
+                   [&]() { new_fired.push_back(host.now()); });
+  });
+  world.run_for(kSecond);
+  EXPECT_FALSE(old_idle_ran);
+  EXPECT_EQ(new_fired, std::vector<TimePoint>{56 * kMillisecond});
+}
+
 TEST(SimWorld, PacketDeliveredWithinLatencyBounds) {
   SimConfig config{.num_stacks = 2, .seed = 7};
   config.net.min_latency = 50 * kMicrosecond;
